@@ -20,6 +20,37 @@ use seda::scenario;
 use seda::sweep::Sweep;
 use seda::telemetry;
 
+/// Writes formatted output to stdout. A closed stdout — the reader of a
+/// pipe such as `seda_cli workloads | head -3` has exited — ends the
+/// process with exit 0, since no one is left to read the rest.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 const EXPERIMENTS: &[(&str, &str)] = &[
     (
         "fig4_area_power",
@@ -112,7 +143,8 @@ fn usage() -> ! {
     eprintln!("                       corrupts one stream byte first — the");
     eprintln!("                       tampered stream exits 4 with the");
     eprintln!("                       seda-stream/v1 snapshot still written)");
-    eprintln!("  run <wl> <npu> <scheme> [n]   n secure inferences (default 1)");
+    eprintln!("  run <wl> <npu> <scheme> [n]   n >= 1 secure inferences (default 1)");
+    eprintln!("                       on npu server or edge");
     eprintln!("  quickstart           functional + timing demo on LeNet");
     eprintln!("  workloads            list workload names");
     eprintln!("  schemes              list scheme names");
@@ -156,22 +188,22 @@ fn scenario_cmd(args: &[String]) -> i32 {
     match args.first().map(String::as_str) {
         Some("list") => {
             let scenarios = scenario::list().unwrap_or_else(|e| die(e));
-            println!("registered scenarios (run with `seda_cli scenario run <name>`):\n");
+            outln!("registered scenarios (run with `seda_cli scenario run <name>`):\n");
             for s in &scenarios {
-                println!("  {:<22} {}", s.name, s.title);
+                outln!("  {:<22} {}", s.name, s.title);
             }
             0
         }
         Some("describe") => {
             let Some(name) = args.get(1) else { usage() };
             let s = scenario::load(name).unwrap_or_else(|e| die(e));
-            println!("{}: {}", s.name, s.title);
-            println!("  npus:      {}", s.npus.join(", "));
-            println!("  workloads:");
+            outln!("{}: {}", s.name, s.title);
+            outln!("  npus:      {}", s.npus.join(", "));
+            outln!("  workloads:");
             for w in &s.workloads {
                 // Validated on load, so every spec resolves.
                 let model = w.resolve().unwrap_or_else(|e| die(e.into()));
-                println!(
+                outln!(
                     "    {:<16} {:>3} layers {:>14} MACs",
                     model.name(),
                     model.layers().len(),
@@ -179,36 +211,37 @@ fn scenario_cmd(args: &[String]) -> i32 {
                 );
             }
             let labels: Vec<String> = s.schemes.iter().map(|sc| sc.label()).collect();
-            println!("  schemes:   {}", labels.join(", "));
+            outln!("  schemes:   {}", labels.join(", "));
             if let Some(d) = &s.dram {
-                println!(
+                outln!(
                     "  dram override: {}",
                     serde_json::to_string(d).unwrap_or_default()
                 );
             }
             if let Some(v) = &s.verifier {
-                println!(
+                outln!(
                     "  verifier:  {} B/cycle, {} cycles latency",
-                    v.bytes_per_cycle, v.latency_cycles
+                    v.bytes_per_cycle,
+                    v.latency_cycles
                 );
             }
             if let Some(n) = s.repeats {
-                println!("  repeats:   {n}");
+                outln!("  repeats:   {n}");
             }
             if let Some(p) = &s.on_failure {
-                println!(
+                outln!(
                     "  on_failure: {}",
                     serde_json::to_string(p).unwrap_or_default()
                 );
             }
             if let Some(b) = s.point_budget_ms {
-                println!("  point budget: {b} ms per point");
+                outln!("  point budget: {b} ms per point");
             }
             if let Some(e) = &s.expect {
-                println!("  expectations: {} bound(s)", e.0.len());
+                outln!("  expectations: {} bound(s)", e.0.len());
             }
             let outputs: Vec<&str> = s.outputs.iter().map(|o| o.as_str()).collect();
-            println!("  outputs:   {}", outputs.join(", "));
+            outln!("  outputs:   {}", outputs.join(", "));
             0
         }
         Some("run") => {
@@ -249,7 +282,7 @@ fn scenario_cmd(args: &[String]) -> i32 {
                     return 3;
                 }
             };
-            print!("{}", run.render());
+            out!("{}", run.render());
             if let Some(path) = json_path {
                 std::fs::write(&path, run.snapshot_json()).expect("writable snapshot path");
                 eprintln!("scenario snapshot written to {path}");
@@ -298,7 +331,7 @@ fn serve_cmd(args: &[String]) -> i32 {
             return 3;
         }
     };
-    print!("{}", run.report.render());
+    out!("{}", run.report.render());
     if let Some(path) = json_path {
         std::fs::write(&path, run.report.snapshot_json()).expect("writable snapshot path");
         eprintln!("serving snapshot written to {path}");
@@ -428,17 +461,19 @@ fn stream_cmd(args: &[String]) -> i32 {
     let dram = seda::dram::DramConfig::ddr4_with_bandwidth(1, 16.0e9);
     match seda_stream::measure(&spec, stream.bytes(), &dram) {
         Ok(run) => {
-            println!(
+            outln!(
                 "{}: {} payload bytes in {} authenticated blocks under {}",
                 model.name(),
                 run.payload_bytes,
                 run.blocks,
                 spec.config.name
             );
-            println!(
+            outln!(
                 "  pipelined unseal: {:.3} GB/s sustained, {:.2}x overlap \
                  efficiency vs serial, {} DRAM replay cycles",
-                run.gbps_sustained, run.overlap_efficiency, run.replay_cycles
+                run.gbps_sustained,
+                run.overlap_efficiency,
+                run.replay_cycles
             );
             if let Some(path) = json_path {
                 let snap = stream_snapshot(model.name(), &spec, Ok(&run));
@@ -478,16 +513,16 @@ fn quickstart() {
     let model = zoo::lenet();
     let input: Vec<u8> = (0..32 * 32).map(|i| (i % 23) as u8).collect();
 
-    println!(
+    outln!(
         "[1/3] functional: {} encrypted in untrusted memory",
         model.name()
     );
     let reference = run_reference(&model, &input);
     let protected = run_protected(&model, &input, |_| {}).expect("honest run verifies");
     assert_eq!(protected, reference, "protection must be transparent");
-    println!("      protected output bit-identical to the reference");
+    outln!("      protected output bit-identical to the reference");
 
-    println!("[2/3] functional: flipping one ciphertext bit off-chip");
+    outln!("[2/3] functional: flipping one ciphertext bit off-chip");
     let addr = AddressMap::new(&model).weights(1) as usize;
     match run_protected(&model, &input, |mem| {
         mem.raw_mut()[addr + 100] ^= 0x20;
@@ -496,10 +531,10 @@ fn quickstart() {
             eprintln!("      tampering went UNDETECTED (bug!)");
             std::process::exit(1);
         }
-        Err(violation) => println!("      inference aborted: {violation}"),
+        Err(violation) => outln!("      inference aborted: {violation}"),
     }
 
-    println!("[3/3] timing: LeNet x [baseline, SGX-64B, SeDA] on the edge NPU");
+    outln!("[3/3] timing: LeNet x [baseline, SGX-64B, SeDA] on the edge NPU");
     let results = Sweep::new()
         .npu(NpuConfig::edge())
         .model(zoo::lenet())
@@ -508,7 +543,7 @@ fn quickstart() {
     let base = results.at(0, 0, 0);
     for s in 1..3 {
         let r = results.at(0, 0, s);
-        println!(
+        outln!(
             "      {:<8} {:>12} traffic bytes, {:>9} cycles ({:+.1}% vs baseline)",
             r.scheme,
             r.traffic.total(),
@@ -527,19 +562,19 @@ fn main() {
     let mut exit_code = 0;
     match args.first().map(String::as_str) {
         Some("list") => {
-            println!("experiment binaries (run with `cargo run --release -p seda-bench --bin <name>`):\n");
+            outln!("experiment binaries (run with `cargo run --release -p seda-bench --bin <name>`):\n");
             for (name, what) in EXPERIMENTS {
-                println!("  {name:<24} {what}");
+                outln!("  {name:<24} {what}");
             }
-            println!();
-            println!("paper tables: `seda_cli table <1|2|3>`");
-            println!("scenario zoo: `seda_cli scenario list` (fig5/fig6 and the");
-            println!("ablations are scenario-driven; the fig/ablation binaries are");
-            println!("thin wrappers over `scenarios/<name>.json`)");
+            outln!();
+            outln!("paper tables: `seda_cli table <1|2|3>`");
+            outln!("scenario zoo: `seda_cli scenario list` (fig5/fig6 and the");
+            outln!("ablations are scenario-driven; the fig/ablation binaries are");
+            outln!("thin wrappers over `scenarios/<name>.json`)");
         }
         Some("table") => match args.get(1).map(String::as_str) {
-            Some("1") => print!("{}", table1()),
-            Some("2") => print!("{}", table2(&[NpuConfig::server(), NpuConfig::edge()])),
+            Some("1") => out!("{}", table1()),
+            Some("2") => out!("{}", table2(&[NpuConfig::server(), NpuConfig::edge()])),
             Some("3") => {
                 // The paper's Table III covers the five headline schemes
                 // of the Fig. 5/6 lineup; append the Securator row as
@@ -550,7 +585,7 @@ fn main() {
                     .chain(["Securator"])
                     .map(|n| scheme_by_name(n).expect("registry name").info())
                     .collect();
-                print!("{}", table3(&infos));
+                out!("{}", table3(&infos));
             }
             _ => usage(),
         },
@@ -560,10 +595,24 @@ fn main() {
         Some("run") => {
             let workload = args.get(1).map(String::as_str).unwrap_or("rest");
             let npu = match args.get(2).map(String::as_str) {
+                None | Some("edge") => NpuConfig::edge(),
                 Some("server") => NpuConfig::server(),
-                _ => NpuConfig::edge(),
+                Some(other) => {
+                    eprintln!("unknown NPU {other:?} (want server or edge)");
+                    usage()
+                }
             };
             let scheme_name = args.get(3).map(String::as_str).unwrap_or("SeDA");
+            let repeats = match args.get(4) {
+                None => 1,
+                Some(n) => match n.parse::<u32>() {
+                    Ok(n) if n > 0 => n,
+                    _ => {
+                        eprintln!("inference count must be a positive integer, got {n:?}");
+                        usage()
+                    }
+                },
+            };
             let Some(model) = zoo::by_name(workload) else {
                 eprintln!("unknown workload {workload:?} (try `seda_cli workloads`)");
                 std::process::exit(1);
@@ -572,10 +621,9 @@ fn main() {
                 eprintln!("unknown scheme {scheme_name:?} (try `seda_cli schemes`)");
                 std::process::exit(1);
             };
-            let repeats: u32 = args.get(4).and_then(|n| n.parse().ok()).unwrap_or(1);
-            let spec = RunSpec::new(&npu, &model).repeats(repeats.max(1));
+            let spec = RunSpec::new(&npu, &model).repeats(repeats);
             for r in run_spec(&spec, scheme.as_mut()) {
-                println!(
+                outln!(
                     "{} on {} under {}: {} bytes of traffic, {} cycles ({:.3} ms)",
                     r.model,
                     r.npu,
@@ -589,14 +637,14 @@ fn main() {
         Some("quickstart") => quickstart(),
         Some("workloads") => {
             for m in zoo::all_models() {
-                println!("{:<6} {} layers", m.name(), m.layers().len());
+                outln!("{:<6} {} layers", m.name(), m.layers().len());
             }
         }
         Some("schemes") => {
             for s in paper_lineup() {
-                println!("{}", s.name());
+                outln!("{}", s.name());
             }
-            println!("Securator");
+            outln!("Securator");
         }
         _ => usage(),
     }

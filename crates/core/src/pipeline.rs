@@ -20,7 +20,7 @@ use crate::error::SedaError;
 use seda_dram::{DramConfig, DramSim, DramStats};
 use seda_models::Model;
 use seda_protect::{HashEngine, ProtectionScheme, TrafficBreakdown};
-use seda_scalesim::{simulate_model, ModelSim, NpuConfig};
+use seda_scalesim::{simulate_model, LayerSim, ModelSim, NpuConfig};
 use serde::{Deserialize, Serialize};
 
 /// The DRAM configuration the pipeline derives for an accelerator:
@@ -49,10 +49,13 @@ pub fn dram_config_for(npu: &NpuConfig) -> DramConfig {
 /// reads, half the bytes a `Vec<Request>` would. The DRAM model is
 /// block-granular, so no timing information is lost.
 ///
-/// [`run_trace`] itself relowers per inference (reusing the allocation),
-/// because schemes are stateful: metadata caches warm across inferences,
-/// so the rewritten stream of inference *n + 1* differs from inference
-/// *n*'s.
+/// [`run_trace`] does not keep a whole inference: it lowers one layer at
+/// a time into a reused buffer and replays it at once (the same
+/// per-layer lowering loop, so the requests are the same). Schemes are
+/// stateful — metadata caches warm across inferences, so the rewritten
+/// stream of inference *n + 1* differs from inference *n*'s — and the
+/// scheme and the DRAM model share no state, so interleaving their work
+/// layer by layer changes no result.
 ///
 /// # Examples
 ///
@@ -84,6 +87,15 @@ pub struct LoweredTrace {
     layer_ends: Vec<usize>,
 }
 
+/// Runs one layer's bursts through `scheme`, appending the rewritten
+/// requests to `out` in packed form — the one lowering loop behind both
+/// [`LoweredTrace`] and [`run_trace`].
+fn lower_layer(layer: &LayerSim, scheme: &mut dyn ProtectionScheme, out: &mut Vec<u64>) {
+    for burst in &layer.bursts {
+        scheme.transform(burst, &mut |r| out.push(r.pack()));
+    }
+}
+
 impl LoweredTrace {
     /// Lowers `sim`'s burst trace through `scheme` into a fresh buffer.
     pub fn lower(sim: &ModelSim, scheme: &mut dyn ProtectionScheme) -> Self {
@@ -92,16 +104,13 @@ impl LoweredTrace {
         lowered
     }
 
-    /// Re-lowers into the existing buffer, reusing its allocation. This
-    /// is the per-inference path of [`run_trace`]: scheme state advances,
-    /// but no per-request storage is reallocated.
+    /// Re-lowers into the existing buffer, reusing its allocation: scheme
+    /// state advances, but no per-request storage is reallocated.
     pub fn relower(&mut self, sim: &ModelSim, scheme: &mut dyn ProtectionScheme) {
         self.packed.clear();
         self.layer_ends.clear();
         for layer in &sim.layers {
-            for burst in &layer.bursts {
-                scheme.transform(burst, &mut |r| self.packed.push(r.pack()));
-            }
+            lower_layer(layer, scheme, &mut self.packed);
             self.layer_ends.push(self.packed.len());
         }
     }
@@ -336,6 +345,13 @@ pub fn try_run_trace_with_dram(
 /// threads through here). The simulator should be freshly constructed;
 /// pre-existing bank or clock state would be charged to this run.
 ///
+/// This is where every run entry point ends up. It lowers and replays one
+/// layer at a time: each layer's bursts go through the scheme into a
+/// reused packed buffer, which [`DramSim::run_batch_packed`] replays
+/// before the next layer is lowered. The results are those of lowering a
+/// whole [`LoweredTrace`] first, with peak memory bounded by the largest
+/// layer.
+///
 /// # Errors
 ///
 /// Returns [`SedaError::InvalidSpec`] when `repeats == 0`.
@@ -354,21 +370,17 @@ pub fn try_run_trace_with_dram_sim(
     }
     let mem_clock = dram.config().clock_hz;
 
-    // One flat request buffer for the whole run: each inference lowers
-    // the scheme-rewritten stream into it (schemes are stateful, so the
-    // stream must be regenerated per inference — see [`LoweredTrace`]),
-    // then replays layer slices through the batched DRAM kernel.
-    let mut lowered = LoweredTrace::default();
+    let mut packed = Vec::new();
     let mut results = Vec::with_capacity(repeats as usize);
     for _ in 0..repeats {
-        lowered.relower(sim, scheme);
         let mut layers = Vec::with_capacity(sim.layers.len());
         let mut total = 0u64;
-        for (li, layer) in sim.layers.iter().enumerate() {
+        for layer in &sim.layers {
+            packed.clear();
+            lower_layer(layer, scheme, &mut packed);
             let start = dram.elapsed_cycles();
-            let slice = lowered.layer(li);
-            let requests = slice.len() as u64;
-            dram.run_batch_packed(slice);
+            let requests = packed.len() as u64;
+            dram.run_batch_packed(&packed);
             let mem_cycles_mem_domain = dram.elapsed_cycles() - start;
             let memory_cycles =
                 (mem_cycles_mem_domain as f64 / mem_clock * npu.clock_hz).ceil() as u64;

@@ -12,7 +12,7 @@
 //! the tiling-misalignment costs of coarse granularities.
 
 use crate::cache::MetaCache;
-use crate::layout::{MetaLayout, LINE_BYTES, VN_COVERAGE};
+use crate::layout::{MetaLayout, LINE_BYTES, MAC_BYTES, VN_COVERAGE};
 use crate::scheme::{emit_demand, line_down, ProtectionScheme, SchemeInfo, TrafficBreakdown};
 use seda_dram::Request;
 use seda_scalesim::Burst;
@@ -158,72 +158,73 @@ impl BlockMacScheme {
         self.vn_cache.as_ref().map(|c| c.stats())
     }
 
-    fn classify_writeback(&mut self, addr: u64, sink: &mut dyn FnMut(Request)) {
-        // Bonsai-style lazy tree update: writing back a dirty VN line (or
-        // tree node) re-hashes it, so its parent node must be updated —
-        // touch the parent dirty in the cache, fetching it on a miss. The
-        // cascade is bounded by the tree depth; the top node's parent is
-        // the on-chip root (free).
-        let mut pending = vec![addr];
-        while let Some(a) = pending.pop() {
-            sink(Request::write(a));
-            let tree_base = self
-                .layout
-                .tree_level_base
-                .first()
-                .copied()
-                .unwrap_or(u64::MAX);
-            if a >= tree_base {
-                self.tally.tree_write += LINE_BYTES;
-            } else if a >= self.layout.vn_base {
-                self.tally.vn_write += LINE_BYTES;
-            } else {
-                self.tally.mac_write += LINE_BYTES;
-                continue; // MAC lines have no tree parent.
-            }
-            if let (Some(parent), Some(cache)) = (self.layout.parent_of(a), self.vn_cache.as_mut())
-            {
-                let acc = cache.access(parent, true);
-                if !acc.hit {
-                    sink(Request::read(parent));
-                    self.tally.tree_read += LINE_BYTES;
-                }
-                if let Some(wb) = acc.writeback {
-                    pending.push(wb);
-                }
-            }
-        }
-    }
-
     fn access_vn(&mut self, data_addr: u64, is_write: bool, sink: &mut dyn FnMut(Request)) {
-        let Some(cache) = self.vn_cache.as_mut() else {
+        let Self {
+            layout,
+            vn_cache,
+            tally,
+            ..
+        } = self;
+        let Some(cache) = vn_cache.as_mut() else {
             return;
         };
-        let vline = self.layout.vn_line(data_addr);
+        let vline = layout.vn_line(data_addr);
         let acc = cache.access(vline, is_write);
         if let Some(wb) = acc.writeback {
-            self.classify_writeback(wb, sink);
+            classify_writeback(layout, Some(cache), tally, wb, sink);
         }
         if !acc.hit {
             sink(Request::read(vline));
-            self.tally.vn_read += LINE_BYTES;
+            tally.vn_read += LINE_BYTES;
             // Climb the tree until a cached (trusted) node or the root.
-            let path = self.layout.tree_path(data_addr);
-            for node in path {
-                // Invariant: the let-else at function entry returned unless
-                // `vn_cache` is Some; nothing clears it in between.
-                #[allow(clippy::expect_used)]
-                let cache = self.vn_cache.as_mut().expect("checked above");
+            for node in layout.tree_path(data_addr) {
                 let a = cache.access(node, false);
                 if let Some(wb) = a.writeback {
-                    self.classify_writeback(wb, sink);
+                    classify_writeback(layout, Some(cache), tally, wb, sink);
                 }
                 if a.hit {
                     break;
                 }
                 sink(Request::read(node));
-                self.tally.tree_read += LINE_BYTES;
+                tally.tree_read += LINE_BYTES;
             }
+        }
+    }
+}
+
+/// Writes back the dirty metadata line at `addr` and tallies it by region.
+///
+/// Bonsai-style lazy tree update: writing back a dirty VN line (or tree
+/// node) re-hashes it, so its parent node must be updated — touch the
+/// parent dirty in the VN cache, fetching it on a miss. That touch can
+/// evict at most one more dirty line, so the cascade is a chain, bounded
+/// by the tree depth; the top node's parent is the on-chip root (free).
+fn classify_writeback(
+    layout: &MetaLayout,
+    mut vn_cache: Option<&mut MetaCache>,
+    tally: &mut TrafficBreakdown,
+    addr: u64,
+    sink: &mut dyn FnMut(Request),
+) {
+    let tree_base = layout.tree_level_base.first().copied().unwrap_or(u64::MAX);
+    let mut pending = Some(addr);
+    while let Some(a) = pending.take() {
+        sink(Request::write(a));
+        if a >= tree_base {
+            tally.tree_write += LINE_BYTES;
+        } else if a >= layout.vn_base {
+            tally.vn_write += LINE_BYTES;
+        } else {
+            tally.mac_write += LINE_BYTES;
+            continue; // MAC lines have no tree parent.
+        }
+        if let (Some(parent), Some(cache)) = (layout.parent_of(a), vn_cache.as_deref_mut()) {
+            let acc = cache.access(parent, true);
+            if !acc.hit {
+                sink(Request::read(parent));
+                tally.tree_read += LINE_BYTES;
+            }
+            pending = acc.writeback;
         }
     }
 }
@@ -256,28 +257,40 @@ impl ProtectionScheme for BlockMacScheme {
         // Alignment fills: lines inside the protection blocks but outside
         // the demand span. Reads need them to verify the block MAC; writes
         // need them to recompute it (read-modify-write).
-        let mut a = gspan_start;
-        while a < gspan_end {
-            if a < start || a >= end {
-                sink(Request::read(a));
-                self.tally.overfetch_read += LINE_BYTES;
-            }
-            a += LINE_BYTES;
+        let fill = |from: u64, to: u64| (from..to).step_by(LINE_BYTES as usize);
+        for a in fill(gspan_start, start).chain(fill(end, gspan_end)) {
+            sink(Request::read(a));
+            self.tally.overfetch_read += LINE_BYTES;
         }
 
-        // One MAC tag per protection block, via the MAC cache.
+        // One MAC tag per protection block, via the MAC cache. The blocks
+        // whose tags share a MAC line are one run of accesses to it: only
+        // the first can miss, and its writeback is a MAC line, which has
+        // no tree parent, so nothing else touches a cache mid-run.
         let mut block = gspan_start / g;
-        while block * g < gspan_end {
+        let end_block = gspan_end / g;
+        while block < end_block {
             let line = self.layout.mac_line(block);
-            let acc = self.mac_cache.access(line, burst.is_write);
+            let next = (line + LINE_BYTES - self.layout.mac_base)
+                .div_ceil(MAC_BYTES)
+                .min(end_block);
+            let acc = self
+                .mac_cache
+                .access_run(line, burst.is_write, next - block);
             if let Some(wb) = acc.writeback {
-                self.classify_writeback(wb, sink);
+                classify_writeback(
+                    &self.layout,
+                    self.vn_cache.as_mut(),
+                    &mut self.tally,
+                    wb,
+                    sink,
+                );
             }
             if !acc.hit {
                 sink(Request::read(line));
                 self.tally.mac_read += LINE_BYTES;
             }
-            block += 1;
+            block = next;
         }
 
         // One VN slot per 64 B data line (SGX only); VN lines cover 512 B.
@@ -294,7 +307,13 @@ impl ProtectionScheme for BlockMacScheme {
 
     fn finish(&mut self, sink: &mut dyn FnMut(Request)) {
         for addr in self.mac_cache.flush() {
-            self.classify_writeback(addr, sink);
+            classify_writeback(
+                &self.layout,
+                self.vn_cache.as_mut(),
+                &mut self.tally,
+                addr,
+                sink,
+            );
         }
         // Flushing dirty VN lines re-dirties their parents (Bonsai update),
         // so iterate until the cache drains; each round moves strictly up
@@ -305,7 +324,7 @@ impl ProtectionScheme for BlockMacScheme {
                 break;
             }
             for addr in dirty {
-                self.classify_writeback(addr, sink);
+                classify_writeback(&self.layout, Some(cache), &mut self.tally, addr, sink);
             }
         }
         flush_cache_telemetry(

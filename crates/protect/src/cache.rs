@@ -5,8 +5,6 @@
 //! write-back, write-allocate). The model tracks hit/miss/eviction
 //! behaviour per line without storing payload bytes.
 
-use std::collections::HashMap;
-
 /// Result of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheAccess {
@@ -16,6 +14,10 @@ pub struct CacheAccess {
     pub writeback: Option<u64>,
 }
 
+/// One way of a set. An unfilled way carries the `EMPTY` tag (no line
+/// index reaches it: lines are `addr / line_bytes` with `line_bytes >= 2`)
+/// and `lru == 0`, older than any filled way since ticks start at 1, so
+/// the least-recent choice fills a free way before it evicts anything.
 #[derive(Debug, Clone, Copy)]
 struct Way {
     tag: u64,
@@ -23,7 +25,26 @@ struct Way {
     lru: u64,
 }
 
+impl Way {
+    const EMPTY: Way = Way {
+        tag: u64::MAX,
+        dirty: false,
+        lru: 0,
+    };
+}
+
+/// How a byte address maps to its line and set.
+#[derive(Debug, Clone, Copy)]
+enum SetIndex {
+    /// Line size and set count are powers of two: shift and mask.
+    Pow2 { line_shift: u32, set_mask: u64 },
+    /// Any other geometry (a 12 KB, 8-way cache has 24 sets): divide.
+    Div { line_bytes: u64, sets: u64 },
+}
+
 /// A set-associative, write-back, write-allocate cache model.
+///
+/// The ways of all sets live in one flat array, `ways` entries per set.
 ///
 /// # Examples
 ///
@@ -37,9 +58,9 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct MetaCache {
     line_bytes: u64,
-    sets: u64,
+    index: SetIndex,
     ways: usize,
-    storage: HashMap<u64, Vec<Way>>,
+    slots: Vec<Way>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -52,20 +73,29 @@ impl MetaCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sizes, capacity not a
-    /// multiple of `line_bytes × ways`).
+    /// Panics if the geometry is degenerate (lines under 2 B, zero ways,
+    /// capacity not a multiple of `line_bytes × ways`).
     pub fn new(capacity_bytes: u64, line_bytes: u64, ways: usize) -> Self {
-        assert!(line_bytes > 0 && ways > 0, "degenerate cache geometry");
+        assert!(line_bytes > 1 && ways > 0, "degenerate cache geometry");
         let lines = capacity_bytes / line_bytes;
         assert!(
             lines >= ways as u64 && lines.is_multiple_of(ways as u64),
             "capacity must be a multiple of line_bytes*ways"
         );
+        let sets = lines / ways as u64;
+        let index = if line_bytes.is_power_of_two() && sets.is_power_of_two() {
+            SetIndex::Pow2 {
+                line_shift: line_bytes.trailing_zeros(),
+                set_mask: sets - 1,
+            }
+        } else {
+            SetIndex::Div { line_bytes, sets }
+        };
         Self {
             line_bytes,
-            sets: lines / ways as u64,
+            index,
             ways,
-            storage: HashMap::new(),
+            slots: vec![Way::EMPTY; lines as usize],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -79,15 +109,56 @@ impl MetaCache {
     }
 
     /// Accesses the line containing `addr`; `is_write` marks it dirty.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
-        self.tick += 1;
-        let line = addr / self.line_bytes;
-        let set = line % self.sets;
-        let tick = self.tick;
-        let ways = self.ways;
-        let set_ways = self.storage.entry(set).or_default();
+        self.access_run(addr, is_write, 1)
+    }
 
-        if let Some(w) = set_ways.iter_mut().find(|w| w.tag == line) {
+    /// Accesses the line containing `addr` `n` times back to back.
+    ///
+    /// Exactly `n` calls of [`MetaCache::access`]: the first call's outcome
+    /// is returned, the other `n − 1` are hits, and the tick, LRU and dirty
+    /// state end where the `n` calls would leave them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    #[inline]
+    pub fn access_run(&mut self, addr: u64, is_write: bool, n: u64) -> CacheAccess {
+        assert!(n > 0, "a run has at least one access");
+        // The later accesses of the run are hits that only move the line's
+        // LRU tick, so the whole run lands on the last tick.
+        self.tick += n;
+        self.hits += n - 1;
+        let tick = self.tick;
+        let (line, set) = match self.index {
+            SetIndex::Pow2 {
+                line_shift,
+                set_mask,
+            } => {
+                let line = addr >> line_shift;
+                (line, line & set_mask)
+            }
+            SetIndex::Div { line_bytes, sets } => {
+                let line = addr / line_bytes;
+                (line, line % sets)
+            }
+        };
+        let base = set as usize * self.ways;
+        let set_ways = &mut self.slots[base..base + self.ways];
+
+        // One branch-free pass finds the line, if resident, and the
+        // least-recent way: whether a way matches or is older than the
+        // best so far depends on the data, so branches would mispredict.
+        let mut hit = usize::MAX;
+        let (mut victim, mut victim_lru) = (0, u64::MAX);
+        for (i, w) in set_ways.iter().enumerate() {
+            hit = if w.tag == line { i } else { hit };
+            let older = w.lru < victim_lru;
+            victim = if older { i } else { victim };
+            victim_lru = if older { w.lru } else { victim_lru };
+        }
+        if let Some(w) = set_ways.get_mut(hit) {
             w.lru = tick;
             w.dirty |= is_write;
             self.hits += 1;
@@ -98,43 +169,32 @@ impl MetaCache {
         }
 
         self.misses += 1;
-        let mut writeback = None;
-        if set_ways.len() == ways {
-            // Invariant: this branch only runs when `set_ways.len() == ways`
-            // and `ways > 0`, so `min_by_key` always finds a victim.
-            #[allow(clippy::expect_used)]
-            let victim = set_ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.lru)
-                .map(|(i, _)| i)
-                .expect("full set has ways");
-            let v = set_ways.swap_remove(victim);
-            if v.dirty {
-                writeback = Some(v.tag * self.line_bytes);
-                self.writebacks += 1;
-            }
-        }
-        set_ways.push(Way {
+        let v = &mut set_ways[victim];
+        let writeback = if v.dirty {
+            self.writebacks += 1;
+            Some(v.tag * self.line_bytes)
+        } else {
+            None
+        };
+        *v = Way {
             tag: line,
             dirty: is_write,
             lru: tick,
-        });
+        };
         CacheAccess {
             hit: false,
             writeback,
         }
     }
 
-    /// Flushes all dirty lines, returning their addresses.
+    /// Flushes all dirty lines, returning their addresses in ascending
+    /// order.
     pub fn flush(&mut self) -> Vec<u64> {
         let mut out = Vec::new();
-        for ways in self.storage.values_mut() {
-            for w in ways.iter_mut() {
-                if w.dirty {
-                    out.push(w.tag * self.line_bytes);
-                    w.dirty = false;
-                }
+        for w in &mut self.slots {
+            if w.dirty {
+                out.push(w.tag * self.line_bytes);
+                w.dirty = false;
             }
         }
         self.writebacks += out.len() as u64;
@@ -212,6 +272,46 @@ mod tests {
     #[should_panic(expected = "multiple of line_bytes")]
     fn bad_geometry_rejected() {
         let _ = MetaCache::new(100, 64, 2);
+    }
+
+    #[test]
+    fn non_power_of_two_sets_index_by_division() {
+        // 12 KB, 8-way: 24 sets, so lines 0, 24, 48, … fill set 0 and
+        // line 16 maps elsewhere.
+        let mut c = MetaCache::new(12 << 10, 64, 8);
+        for i in 0..8 {
+            c.access(i * 24 * 64, false);
+        }
+        assert!(!c.access(16 * 64, false).hit);
+        for i in 0..8 {
+            assert!(c.access(i * 24 * 64, false).hit, "set 0 way {i} kept");
+        }
+        // A ninth line of set 0 evicts its least-recent way, line 0.
+        c.access(8 * 24 * 64, false);
+        assert!(!c.access(0, false).hit);
+    }
+
+    #[test]
+    fn run_of_one_is_a_single_access() {
+        let mut a = MetaCache::new(256, 64, 2);
+        let mut b = a.clone();
+        for (addr, w) in [
+            (0, true),
+            (128, false),
+            (256, false),
+            (0, false),
+            (384, true),
+        ] {
+            assert_eq!(a.access(addr, w), b.access_run(addr, w, 1));
+            assert_eq!(a.stats(), b.stats());
+        }
+        assert_eq!(a.flush(), b.flush());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one access")]
+    fn empty_run_rejected() {
+        let _ = MetaCache::new(256, 64, 2).access_run(0, false, 0);
     }
 
     #[test]

@@ -96,17 +96,14 @@ impl MetaLayout {
 
     /// Tree-node addresses on the path from the VN line covering `addr`
     /// up to (but excluding) the on-chip root, leaf level first.
-    pub fn tree_path(&self, addr: u64) -> Vec<u64> {
+    pub fn tree_path(&self, addr: u64) -> impl Iterator<Item = u64> + '_ {
         let vn_line_idx = (self.vn_line(addr) - self.vn_base) / LINE_BYTES;
-        let mut path = Vec::with_capacity(self.tree_level_base.len());
         let mut idx = vn_line_idx / TREE_ARITY;
-        for (level, base) in self.tree_level_base.iter().enumerate() {
-            path.push(base + idx * LINE_BYTES);
-            if level + 1 < self.tree_level_base.len() {
-                idx /= TREE_ARITY;
-            }
-        }
-        path
+        self.tree_level_base.iter().map(move |base| {
+            let node = base + idx * LINE_BYTES;
+            idx /= TREE_ARITY;
+            node
+        })
     }
 
     /// Number of tree levels stored off-chip.
@@ -180,8 +177,8 @@ mod tests {
     #[test]
     fn tree_path_is_monotone_and_shrinks() {
         let l = MetaLayout::new(16 * GIB, 64);
-        let p1 = l.tree_path(0);
-        let p2 = l.tree_path(8 * GIB);
+        let p1: Vec<u64> = l.tree_path(0).collect();
+        let p2: Vec<u64> = l.tree_path(8 * GIB).collect();
         assert_eq!(p1.len(), l.tree_depth());
         // Paths from distant addresses converge at the top.
         assert_ne!(p1[0], p2[0]);
@@ -191,10 +188,10 @@ mod tests {
     #[test]
     fn neighbouring_vn_lines_share_parents() {
         let l = MetaLayout::new(16 * GIB, 64);
-        let a = l.tree_path(0);
-        let b = l.tree_path(512); // next VN slot, same VN line? 512B data = same line
+        let a: Vec<u64> = l.tree_path(0).collect();
+        let b: Vec<u64> = l.tree_path(512).collect(); // next VN slot, same VN line? 512B data = same line
         assert_eq!(a, b);
-        let c = l.tree_path(4096 * 8); // 8 VN lines away → different leaf parent
+        let c: Vec<u64> = l.tree_path(4096 * 8).collect(); // 8 VN lines away → different leaf parent
         assert_ne!(a[0], c[0]);
     }
 }
@@ -210,7 +207,7 @@ mod parent_tests {
         let l = MetaLayout::new(16 * GIB, 64);
         let vn_line = l.vn_line(0);
         let parent = l.parent_of(vn_line).expect("VN line has a parent");
-        assert_eq!(parent, l.tree_path(0)[0]);
+        assert_eq!(Some(parent), l.tree_path(0).next());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   [`seda_protect::ProtectionScheme`]: demand bytes preserved, every
 //!   emitted request attributed in the [`seda_protect::TrafficBreakdown`],
 //!   SeDA never overfetching, SGX/MGX metadata matching the `MetaCache`
-//!   hit/miss accounting.
+//!   hit/miss accounting, and the flat `MetaCache` matching the
+//!   [`ref_cache`] hash-map model access by access.
 //! * [`dram`] — DRAM timing invariants (monotone channel clocks, burst
 //!   length from config, refresh-window exclusion, achieved bandwidth at
 //!   or below peak) over randomized request streams.
@@ -71,6 +72,7 @@ pub mod dram_batch;
 pub mod gemm;
 pub mod otp;
 pub mod pipeline;
+pub mod ref_cache;
 pub mod resilience;
 pub mod rng;
 pub mod schemes;

@@ -8,12 +8,18 @@
 //! metadata costs match their first-principles counts — SeDA's two lines
 //! per distinct layer, Securator's two lines per layer switch, SGX/MGX
 //! MAC traffic equal to the metadata-cache miss/writeback counts.
+//!
+//! Each case also holds the flat production [`MetaCache`] to the
+//! reference hash-map model ([`ReferenceCache`]) access by access, over
+//! seeded access sequences on power-of-two and other cache geometries,
+//! with `access_run(n)` against `n` reference accesses.
 
 use crate::ensure;
+use crate::ref_cache::ReferenceCache;
 use crate::rng::Rng;
 use seda_protect::scheme::{line_down, line_up, LINE_BYTES};
 use seda_protect::{
-    scheme_by_name, BlockMacKind, BlockMacScheme, ProtectionScheme, TrafficBreakdown,
+    scheme_by_name, BlockMacKind, BlockMacScheme, MetaCache, ProtectionScheme, TrafficBreakdown,
     PROTECTED_BYTES,
 };
 use seda_scalesim::{Burst, TensorKind};
@@ -136,7 +142,8 @@ pub fn check_case(rng: &mut Rng) -> Result<(), String> {
             "SGX-{g} moved fewer bytes than MGX-{g}"
         );
     }
-    check_block_mac_cache_accounting(&stream)
+    check_block_mac_cache_accounting(&stream)?;
+    check_cache_differential(rng)
 }
 
 fn check_seda(
@@ -198,8 +205,9 @@ fn check_securator(stream: &[Burst], tally: &TrafficBreakdown) -> Result<(), Str
 }
 
 /// The SGX/MGX traffic tallies must agree with the metadata caches' own
-/// accounting: a MAC line read is exactly a MAC-cache miss, a MAC line
-/// write exactly a writeback, and likewise for the shared VN/tree cache.
+/// accounting: the MAC cache sees one access per protection block, a MAC
+/// line read is exactly a MAC-cache miss, a MAC line write exactly a
+/// writeback, and likewise for the shared VN/tree cache.
 fn check_block_mac_cache_accounting(stream: &[Burst]) -> Result<(), String> {
     for (kind, granularity) in [
         (BlockMacKind::Sgx, 64),
@@ -210,7 +218,17 @@ fn check_block_mac_cache_accounting(stream: &[Burst]) -> Result<(), String> {
         let mut scheme = BlockMacScheme::new(kind, granularity, PROTECTED_BYTES);
         let (_, tally) = run_scheme(&mut scheme, stream);
         let name = format!("{kind:?}-{granularity}B");
-        let (_, mac_misses, mac_wb) = scheme.mac_cache_stats();
+        let (mac_hits, mac_misses, mac_wb) = scheme.mac_cache_stats();
+        // One MAC-cache access per protection block a burst touches.
+        let blocks: u64 = stream
+            .iter()
+            .map(|b| line_up(b.end()).div_ceil(granularity) - line_down(b.addr) / granularity)
+            .sum();
+        ensure!(
+            mac_hits + mac_misses == blocks,
+            "{name}: {} MAC-cache accesses != {blocks} protection blocks touched",
+            mac_hits + mac_misses
+        );
         ensure!(
             tally.mac_read == mac_misses * LINE_BYTES,
             "{name}: mac_read {} != {mac_misses} cache misses x 64",
@@ -239,6 +257,74 @@ fn check_block_mac_cache_accounting(stream: &[Burst]) -> Result<(), String> {
                 "{name}: MGX moved VN/tree bytes despite on-chip VNs"
             ),
         }
+    }
+    Ok(())
+}
+
+/// Cache geometries of the differential, `(capacity, line bytes, ways)`:
+/// the paper's 8 KB MAC and 16 KB VN caches (16 and 32 sets), a 12 KB
+/// cache (24 sets, the division fallback), direct-mapped caches with 64
+/// and 24 sets, and one fully associative set.
+const CACHE_GEOMETRIES: [(u64, u64, usize); 6] = [
+    (8 << 10, 64, 8),
+    (16 << 10, 64, 8),
+    (12 << 10, 64, 8),
+    (4 << 10, 64, 1),
+    (24 * 64, 64, 1),
+    (8 * 64, 64, 8),
+];
+
+/// Drives the flat [`MetaCache`] and the [`ReferenceCache`] with one
+/// seeded access sequence per geometry and compares every outcome, the
+/// stats after every access, and every flush.
+fn check_cache_differential(rng: &mut Rng) -> Result<(), String> {
+    for (capacity, line_bytes, ways) in CACHE_GEOMETRIES {
+        let geometry = format!("{capacity} B / {line_bytes} B lines / {ways}-way");
+        let mut fast = MetaCache::new(capacity, line_bytes, ways);
+        let mut reference = ReferenceCache::new(capacity, line_bytes, ways);
+        // Footprints from half the capacity (mostly hits) to four times
+        // it (conflict misses and dirty evictions).
+        let footprint = capacity / line_bytes * rng.range(1, 8) / 2;
+        let accesses = rng.range(200, 1500);
+        for i in 0..accesses {
+            let addr = rng.below(footprint) * line_bytes + rng.below(line_bytes);
+            let is_write = rng.coin(1, 3);
+            let n = if rng.coin(1, 2) { 1 } else { rng.range(1, 9) };
+            let got = if n == 1 && rng.coin(1, 2) {
+                fast.access(addr, is_write)
+            } else {
+                fast.access_run(addr, is_write, n)
+            };
+            let want = reference.access(addr, is_write);
+            for _ in 1..n {
+                reference.access(addr, is_write);
+            }
+            ensure!(
+                got == want,
+                "{geometry}: access {i} (addr {addr:#x}, write {is_write}, run {n}) \
+                 gave {got:?}, reference {want:?}"
+            );
+            ensure!(
+                fast.stats() == reference.stats(),
+                "{geometry}: after access {i} stats {:?} != reference {:?}",
+                fast.stats(),
+                reference.stats()
+            );
+            if rng.coin(1, 300) {
+                let (got, want) = (fast.flush(), reference.flush());
+                ensure!(
+                    got == want,
+                    "{geometry}: flush after access {i} gave {got:?}, reference {want:?}"
+                );
+            }
+        }
+        let (got, want) = (fast.flush(), reference.flush());
+        ensure!(
+            got == want && fast.stats() == reference.stats(),
+            "{geometry}: final flush {got:?} / stats {:?} != reference {want:?} / {:?}",
+            fast.stats(),
+            reference.stats()
+        );
     }
     Ok(())
 }
