@@ -8,7 +8,7 @@
 //! Usage: `cargo run --release -p seda-bench --bin ablation_hash_engine`
 
 use seda::models::zoo;
-use seda::pipeline::{run_model, run_model_with_verifier};
+use seda::pipeline::{run_model, run_spec, RunSpec};
 use seda::protect::{HashEngine, LayerMacStore, SedaScheme, Unprotected, PROTECTED_BYTES};
 use seda::scalesim::NpuConfig;
 
@@ -23,13 +23,12 @@ fn main() {
     );
     println!("{:>12} {:>14} {:>10}", "throughput", "cycles", "slowdown");
     for bpc in [0.5f64, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0] {
-        let engine = HashEngine::new(bpc, 80);
-        let r = run_model_with_verifier(
-            &npu,
-            &model,
+        let spec = RunSpec::new(&npu, &model).verifier(HashEngine::new(bpc, 80));
+        let r = &run_spec(
+            &spec,
             &mut SedaScheme::new(LayerMacStore::OffChip, PROTECTED_BYTES),
-            Some(&engine),
-        );
+        )
+        .expect("a one-inference spec runs")[0];
         println!(
             "{:>8.1} B/cy {:>14} {:>9.4}x",
             bpc,

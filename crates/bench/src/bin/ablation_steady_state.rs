@@ -8,18 +8,26 @@
 //!
 //! Usage: `cargo run --release -p seda-bench --bin ablation_steady_state`
 
-use seda::models::zoo;
-use seda::pipeline::run_model_repeated;
-use seda::protect::scheme_by_name;
+use seda::models::{zoo, Model};
+use seda::pipeline::{run_spec, RunSpec};
+use seda::protect::{scheme_by_name, ProtectionScheme};
 use seda::scalesim::NpuConfig;
+
+const N: u32 = 8;
+
+/// Total cycles of each of `N` back-to-back inferences.
+fn totals(npu: &NpuConfig, model: &Model, scheme: &mut dyn ProtectionScheme) -> Vec<u64> {
+    let spec = RunSpec::new(npu, model).repeats(N);
+    let runs = run_spec(&spec, scheme).expect("N > 0");
+    runs.iter().map(|r| r.total_cycles).collect()
+}
 
 fn main() {
     let npu = NpuConfig::edge();
     let model = zoo::resnet18();
-    const N: u32 = 8;
     println!("Extension: steady-state behaviour over {N} inferences (rest, edge)\n");
     let mut base = scheme_by_name("baseline").expect("known");
-    let base_totals = run_model_repeated(&npu, &model, base.as_mut(), N);
+    let base_totals = totals(&npu, &model, base.as_mut());
     let mut header = format!("{:<10}", "scheme");
     for i in 0..N {
         header.push_str(&format!("   inf{i}"));
@@ -27,9 +35,11 @@ fn main() {
     println!("{header}");
     for name in ["SGX-64B", "MGX-64B", "MGX-512B", "SeDA"] {
         let mut scheme = scheme_by_name(name).expect("known");
-        let totals = run_model_repeated(&npu, &model, scheme.as_mut(), N);
         let mut row = format!("{name:<10}");
-        for (t, b) in totals.iter().zip(base_totals.iter()) {
+        for (t, b) in totals(&npu, &model, scheme.as_mut())
+            .iter()
+            .zip(base_totals.iter())
+        {
             row.push_str(&format!(" {:>6.3}", *t as f64 / *b as f64));
         }
         println!("{row}");

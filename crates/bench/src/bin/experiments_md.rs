@@ -5,8 +5,9 @@
 //! Usage:
 //! `cargo run --release -p seda-bench --bin experiments_md > EXPERIMENTS.md`
 
-use seda::experiment::{evaluate_paper_suite, Evaluation};
+use seda::experiment::{evaluations_of, lineup, Evaluation};
 use seda::hw::{baes_cost, taes_cost};
+use seda::models::zoo;
 use seda::scalesim::NpuConfig;
 
 /// Paper-reported average overheads (percent) for Fig. 5 / Fig. 6.
@@ -63,8 +64,10 @@ fn workload_table(eval: &Evaluation, perf: bool) -> String {
 }
 
 fn main() {
-    let server = evaluate_paper_suite(&NpuConfig::server());
-    let edge = evaluate_paper_suite(&NpuConfig::edge());
+    let npus = [NpuConfig::server(), NpuConfig::edge()];
+    let [server, edge]: [Evaluation; 2] = evaluations_of(&lineup(&npus, &zoo::all_models()).run())
+        .try_into()
+        .expect("one evaluation per NPU");
 
     println!("# EXPERIMENTS — paper vs. measured");
     println!();
@@ -179,19 +182,16 @@ fn main() {
     println!();
     println!("Provisioning a sealed model through `seda-stream`'s chunked");
     println!("encrypt-then-MAC pipeline: each row seals the model's image");
-    println!("geometry, then unseals it with transport crypto overlapped against");
-    println!("packed DRAM replay of the layer write-out (double-buffered; the");
-    println!("serial column is the crypto-then-replay baseline). Bytes, blocks,");
-    println!("and replay cycles are deterministic; GB/s is host wall-clock and");
-    println!("varies by machine — `stream_bench` pins the gated figure in");
-    println!("`BENCH_stream.json` on every CI run.");
+    println!("geometry, unseals it, then replays the verified layer write-out");
+    println!("through packed DRAM replay. Bytes, blocks, and replay cycles are");
+    println!("deterministic; GB/s is host wall-clock and varies by machine —");
+    println!("`stream_bench` pins the gated figure in `BENCH_stream.json` on every");
+    println!("CI run.");
     println!();
-    println!(
-        "| model | payload bytes | blocks | replay cycles | GB/s sustained | overlap efficiency |"
-    );
-    println!("|---|---|---|---|---|---|");
+    println!("| model | payload bytes | blocks | replay cycles | GB/s sustained |");
+    println!("|---|---|---|---|---|");
     for name in ["let", "rest", "trf"] {
-        let model = seda::models::zoo::by_name(name).expect("zoo model");
+        let model = zoo::by_name(name).expect("zoo model");
         let spec = seda_stream::StreamSpec {
             stream_id: 0x5EDA_0E39,
             key_epoch: 1,
@@ -215,12 +215,8 @@ fn main() {
         let dram = seda::dram::DramConfig::ddr4_with_bandwidth(1, 16.0e9);
         let run = seda_stream::measure(&spec, stream.bytes(), &dram).expect("unseal");
         println!(
-            "| {name} | {} | {} | {} | {:.4} | {:.2} |",
-            run.payload_bytes,
-            run.blocks,
-            run.replay_cycles,
-            run.gbps_sustained,
-            run.overlap_efficiency
+            "| {name} | {} | {} | {} | {:.4} |",
+            run.payload_bytes, run.blocks, run.replay_cycles, run.gbps_sustained
         );
     }
     println!();

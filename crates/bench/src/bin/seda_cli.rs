@@ -106,10 +106,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         "serve_bench",
         "multi-tenant serving event-kernel throughput",
     ),
-    (
-        "stream_bench",
-        "sealed-model streaming GB/s and overlap efficiency",
-    ),
+    ("stream_bench", "sealed-model streaming GB/s"),
     (
         "validate_sim",
         "fast models vs cycle/command-level cross-check",
@@ -138,9 +135,9 @@ fn usage() -> ! {
     eprintln!("                       when a tenant latency ceiling is violated");
     eprintln!("  stream <model> [--json <out.json>] [--lens <b0,b1,..>] [--flip <byte>]");
     eprintln!("                       seal the model into a provisioning stream");
-    eprintln!("                       and unseal it through the double-buffered");
-    eprintln!("                       pipeline (sustained GB/s report; --flip");
-    eprintln!("                       corrupts one stream byte first — the");
+    eprintln!("                       and unseal it, replaying each verified");
+    eprintln!("                       layer's write-out (sustained GB/s report;");
+    eprintln!("                       --flip corrupts one stream byte first — the");
     eprintln!("                       tampered stream exits 4 with the");
     eprintln!("                       seda-stream/v1 snapshot still written)");
     eprintln!("  run <wl> <npu> <scheme> [n]   n >= 1 secure inferences (default 1)");
@@ -368,10 +365,6 @@ fn stream_snapshot(
                 "  \"gbps_sustained\": {:.6},\n",
                 run.gbps_sustained
             ));
-            out.push_str(&format!(
-                "  \"overlap_efficiency\": {:.6},\n",
-                run.overlap_efficiency
-            ));
             out.push_str(&format!("  \"replay_cycles\": {}\n", run.replay_cycles));
         }
         Err(e) => {
@@ -387,8 +380,8 @@ fn stream_snapshot(
 }
 
 /// `stream <model> [--json <out.json>] [--lens <b0,b1,..>] [--flip <byte>]`:
-/// seals a zoo model into a provisioning stream and unseals it through
-/// the double-buffered pipeline, reporting sustained GB/s. A malformed
+/// seals a zoo model into a provisioning stream, unseals it, and replays
+/// the verified write-out, reporting sustained GB/s. A malformed
 /// stream spec (unknown model, unparsable or non-64-multiple `--lens`)
 /// exits 3; a tampered block (`--flip` corrupts one stream byte) exits 4
 /// with the typed rejection on stderr and the snapshot written first.
@@ -452,11 +445,17 @@ fn stream_cmd(args: &[String]) -> i32 {
         }
     };
     if let Some(flip) = &flip_arg {
-        let Ok(offset) = flip.parse::<usize>() else {
-            eprintln!("--flip wants a byte offset into the sealed stream");
-            std::process::exit(2);
+        let offset = match flip.parse::<usize>() {
+            Ok(offset) if offset < stream.len() => offset,
+            _ => {
+                eprintln!(
+                    "--flip wants a byte offset into the sealed stream (0..{}), got {flip:?}",
+                    stream.len()
+                );
+                std::process::exit(2);
+            }
         };
-        stream.flip_bit(offset % stream.len(), 1);
+        stream.flip_bit(offset, 1);
     }
     let dram = seda::dram::DramConfig::ddr4_with_bandwidth(1, 16.0e9);
     match seda_stream::measure(&spec, stream.bytes(), &dram) {
@@ -469,10 +468,8 @@ fn stream_cmd(args: &[String]) -> i32 {
                 spec.config.name
             );
             outln!(
-                "  pipelined unseal: {:.3} GB/s sustained, {:.2}x overlap \
-                 efficiency vs serial, {} DRAM replay cycles",
+                "  unseal: {:.3} GB/s sustained, {} DRAM replay cycles",
                 run.gbps_sustained,
-                run.overlap_efficiency,
                 run.replay_cycles
             );
             if let Some(path) = json_path {
@@ -622,7 +619,7 @@ fn main() {
                 std::process::exit(1);
             };
             let spec = RunSpec::new(&npu, &model).repeats(repeats);
-            for r in run_spec(&spec, scheme.as_mut()) {
+            for r in run_spec(&spec, scheme.as_mut()).unwrap_or_else(|e| die(e)) {
                 outln!(
                     "{} on {} under {}: {} bytes of traffic, {} cycles ({:.3} ms)",
                     r.model,

@@ -2,13 +2,12 @@
 //!
 //! Seals a zoo model (default: the 37-layer transformer, tiled by
 //! `--layers`) into an authenticated provisioning stream, then
-//! unseals it twice through [`seda_stream::measure`] — the
-//! double-buffered crypto/DRAM-replay pipeline plus its serial
-//! baseline. The two unseals must land on bit-identical images (root
-//! and ciphertext; wall-clock is allowed to differ), and the second
-//! run's sustained GB/s and overlap efficiency are recorded in
-//! `BENCH_stream.json` so CI can archive the provisioning-path perf
-//! trajectory PR over PR.
+//! unseals it twice through [`seda_stream::measure`] — frame
+//! verification, then DRAM replay of the layer write-out. The two
+//! unseals must land on bit-identical images (root and ciphertext;
+//! wall-clock is allowed to differ), and the second run's sustained
+//! GB/s is recorded in `BENCH_stream.json` so CI can archive the
+//! provisioning-path throughput over time.
 //!
 //! With `--min-gbps <g>` the run additionally acts as a regression
 //! gate: sustained throughput below the floor fails the process.
@@ -35,14 +34,8 @@ struct BenchRecord {
     payload_bytes: u64,
     /// Authenticated 64-byte blocks verified.
     blocks: u64,
-    /// Pipelined-unseal wall-clock, milliseconds.
-    pipelined_ms: f64,
-    /// Serial crypto-then-replay baseline wall-clock, milliseconds.
-    serial_ms: f64,
-    /// Sustained pipelined payload throughput, GB/s.
+    /// Sustained payload throughput of verification plus replay, GB/s.
     gbps_sustained: f64,
-    /// Serial over pipelined wall time; above 1.0 the overlap paid off.
-    overlap_efficiency: f64,
     /// DRAM memory-clock cycles the layer write-out replay consumed.
     replay_cycles: u64,
     /// Whether the two unseals produced bit-identical images.
@@ -75,7 +68,7 @@ fn main() {
     let model = zoo::by_name(&model_name)
         .unwrap_or_else(|| panic!("unknown model {model_name:?} (try `seda_cli workloads`)"));
     // Tile the model's sealed geometry `repeat_layers` times so the
-    // stream is long enough to amortize pipeline fill/drain.
+    // stream is long enough to time steadily.
     let base = model_lens(&model);
     let lens: Vec<usize> = std::iter::repeat_with(|| base.clone())
         .take(repeat_layers.max(1))
@@ -121,24 +114,17 @@ fn main() {
         layers: spec.lens.len(),
         payload_bytes: timed.payload_bytes,
         blocks: timed.blocks,
-        pipelined_ms: round6(timed.pipelined_s * 1e3),
-        serial_ms: round6(timed.serial_s * 1e3),
         gbps_sustained: round6(timed.gbps_sustained),
-        overlap_efficiency: round6(timed.overlap_efficiency),
         replay_cycles: timed.replay_cycles,
         deterministic,
     };
     println!(
-        "stream pipeline: {} x{} layers, {} payload bytes in {} blocks under {}",
+        "stream unseal: {} x{} layers, {} payload bytes in {} blocks under {}",
         record.model, record.layers, record.payload_bytes, record.blocks, record.config
     );
     println!(
-        "pipelined {:.3} ms vs serial {:.3} ms — {:.3} GB/s sustained, {:.2}x overlap efficiency",
-        record.pipelined_ms, record.serial_ms, record.gbps_sustained, record.overlap_efficiency
-    );
-    println!(
-        "{} DRAM replay cycles; images bit-identical across unseals",
-        record.replay_cycles
+        "{:.3} GB/s sustained, {} DRAM replay cycles; images bit-identical across unseals",
+        record.gbps_sustained, record.replay_cycles
     );
     let json = serde_json::to_string_pretty(&record).expect("record serializes");
     std::fs::write(&out_path, json).expect("writable bench record path");
@@ -146,7 +132,7 @@ fn main() {
     if let Some(floor) = min_gbps {
         if record.gbps_sustained < floor {
             eprintln!(
-                "REGRESSION: stream pipeline sustained {:.4} GB/s, under the {floor:.4} GB/s floor",
+                "REGRESSION: stream unseal sustained {:.4} GB/s, under the {floor:.4} GB/s floor",
                 record.gbps_sustained
             );
             std::process::exit(1);

@@ -3,7 +3,7 @@
 //!
 //! The legacy path is what `evaluate` used to do: a nested loop calling
 //! `run_model` per point, which re-simulates the accelerator trace for
-//! every scheme. The engine path (`evaluate_suites`) shares one trace per
+//! every scheme. The engine path (`lineup`) shares one trace per
 //! (NPU, model) pair and executes points on scoped threads. Both must
 //! produce identical cycle totals — this binary asserts it.
 //!
@@ -13,7 +13,7 @@
 //!
 //! Usage: `cargo run --release -p seda-bench --bin sweep_bench [out.json]`
 
-use seda::experiment::{evaluate_suites_with_stats, scheme_names};
+use seda::experiment::{evaluations_of, lineup, scheme_names};
 use seda::models::zoo;
 use seda::pipeline::run_model;
 use seda::protect::scheme_by_name;
@@ -77,7 +77,9 @@ fn main() {
     let serial = t0.elapsed();
 
     let t1 = Instant::now();
-    let (evals, stats) = evaluate_suites_with_stats(&npus, &models);
+    let results = lineup(&npus, &models).run();
+    let evals = evaluations_of(&results);
+    let stats = results.stats;
     let engine = t1.elapsed();
 
     let engine_total: u64 = evals

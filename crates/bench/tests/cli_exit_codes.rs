@@ -280,6 +280,28 @@ fn tampered_stream_block_exits_4_with_a_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `--flip` offset must name a byte of the sealed stream: one at or
+/// past its end is a usage error (exit 2, like a non-numeric offset),
+/// while the last byte is a real tamper (exit 4).
+#[test]
+fn out_of_range_flip_offset_exits_2() {
+    // One 64-byte layer: the stream is the header plus a single frame.
+    let len = seda_stream::header_len(1) + seda_stream::FRAME_BYTES;
+    let flip = |offset: String| {
+        Command::new(env!("CARGO_BIN_EXE_seda_cli"))
+            .args(["stream", "let", "--lens", "64", "--flip", &offset])
+            .output()
+            .expect("seda_cli spawns")
+    };
+    for offset in [len.to_string(), (len + 1).to_string(), "x".to_owned()] {
+        let out = flip(offset.clone());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--flip {offset}: {stderr}");
+        assert!(stderr.contains("--flip wants a byte offset"), "{stderr}");
+    }
+    assert_eq!(flip((len - 1).to_string()).status.code(), Some(4));
+}
+
 /// An untampered stream provisions cleanly: exit 0 and a success
 /// snapshot with a positive sustained throughput.
 #[test]

@@ -3,9 +3,8 @@
 //! five protection schemes, on both NPUs.
 
 use crate::pipeline::RunResult;
-use crate::sweep::{Sweep, SweepResults, SweepStats};
-use seda_dram::DramConfig;
-use seda_models::{zoo, Model};
+use crate::sweep::{Sweep, SweepResults};
+use seda_models::Model;
 use seda_scalesim::NpuConfig;
 use serde::{Deserialize, Serialize};
 
@@ -85,59 +84,47 @@ impl Evaluation {
 ///
 /// Runs on the [`Sweep`] engine: each (NPU, model) trace is simulated
 /// exactly once and shared across all six schemes, and points execute in
-/// parallel with results in deterministic lineup order.
+/// parallel with results in deterministic lineup order. For several NPUs
+/// in one sweep, trace-cache statistics, or a perturbed memory system,
+/// build the sweep with [`lineup`] and normalize it with
+/// [`evaluations_of`].
 pub fn evaluate(npu: &NpuConfig, models: &[Model]) -> Evaluation {
-    evaluate_with_stats(npu, models).0
+    evaluation_of(&lineup(std::slice::from_ref(npu), models).run(), 0)
 }
 
-/// [`evaluate`], additionally reporting trace-cache statistics — the
-/// number of `simulate_model` calls the sweep actually performed.
-pub fn evaluate_with_stats(npu: &NpuConfig, models: &[Model]) -> (Evaluation, SweepStats) {
-    let results = lineup_sweep(std::slice::from_ref(npu), models).run();
-    (evaluation_of(&results, 0), results.stats)
-}
-
-/// Evaluates `models` under the full lineup on several NPUs as *one*
-/// parallel sweep — all points share a thread pool and a trace cache, so
-/// this is the fastest way to produce the paper's two-NPU headline data.
-/// Returns one [`Evaluation`] per NPU, in input order.
-pub fn evaluate_suites(npus: &[NpuConfig], models: &[Model]) -> Vec<Evaluation> {
-    evaluate_suites_with_stats(npus, models).0
-}
-
-/// [`evaluate_suites`], additionally reporting trace-cache statistics for
-/// the whole multi-NPU sweep — the counters `sweep_bench` records in
-/// `BENCH_sweep.json` to track the engine's reuse rate PR over PR.
-pub fn evaluate_suites_with_stats(
-    npus: &[NpuConfig],
-    models: &[Model],
-) -> (Vec<Evaluation>, SweepStats) {
-    let results = lineup_sweep(npus, models).run();
-    let evals = evaluations_of(&results);
-    (evals, results.stats)
-}
-
-/// [`evaluate_suites`] with a per-NPU DRAM configuration override — the
-/// full lineup evaluated on a perturbed memory system. The golden-figure
-/// sensitivity self-tests use this to show that a one-cycle DRAM timing
-/// change is visible in the pinned Fig. 5/6 aggregates.
-pub fn evaluate_suites_dram_mapped(
-    npus: &[NpuConfig],
-    models: &[Model],
-    map: impl Fn(&NpuConfig) -> DramConfig + Send + Sync + 'static,
-) -> Vec<Evaluation> {
-    let results = lineup_sweep(npus, models).dram_map(map).run();
-    evaluations_of(&results)
+/// The Fig. 5/6 sweep: `models` under the full scheme lineup on every NPU
+/// in `npus`, as *one* sweep — all points share a thread pool and a trace
+/// cache, so this is the fastest way to produce the paper's two-NPU
+/// headline data. Chain further `Sweep` settings (such as
+/// [`Sweep::dram_map`](crate::sweep::Sweep::dram_map)) before running it.
+///
+/// # Examples
+///
+/// ```
+/// use seda::experiment::{evaluations_of, lineup};
+/// use seda_models::zoo;
+/// use seda_scalesim::NpuConfig;
+///
+/// let results = lineup(&[NpuConfig::server(), NpuConfig::edge()], &[zoo::lenet()]).run();
+/// // One simulation per (NPU, model); the other five schemes reuse it.
+/// assert_eq!(results.stats.trace_misses, 2);
+/// let evals = evaluations_of(&results);
+/// assert_eq!(evals.len(), 2);
+/// ```
+pub fn lineup(npus: &[NpuConfig], models: &[Model]) -> Sweep {
+    Sweep::new()
+        .npus(npus.iter().cloned())
+        .models(models.iter().cloned())
+        .schemes(scheme_names())
 }
 
 /// Normalizes a completed [`SweepResults`] into one [`Evaluation`] per
 /// NPU, taking all labels from the sweep itself.
 ///
-/// This is the generic form behind [`evaluate_suites`]: it works for any
-/// scheme set (the declarative scenario engine routes custom lineups and
-/// cache-varied schemes through it), with the sweep's **first scheme** as
-/// the normalization baseline. For the standard lineup the output is
-/// bit-identical to [`evaluate_suites`].
+/// It works for any scheme set (the declarative scenario engine routes
+/// custom lineups and cache-varied schemes through it), with the sweep's
+/// **first scheme** as the normalization baseline; on a [`lineup`] sweep
+/// it yields the paper's Fig. 5/6 evaluations.
 ///
 /// # Panics
 ///
@@ -166,13 +153,6 @@ pub fn partial_evaluations_of(results: &SweepResults) -> Vec<Evaluation> {
                 .collect(),
         })
         .collect()
-}
-
-fn lineup_sweep(npus: &[NpuConfig], models: &[Model]) -> Sweep {
-    Sweep::new()
-        .npus(npus.iter().cloned())
-        .models(models.iter().cloned())
-        .schemes(scheme_names())
 }
 
 fn workload_eval(results: &SweepResults, ni: usize, mi: usize) -> WorkloadEval {
@@ -207,14 +187,10 @@ fn evaluation_of(results: &SweepResults, ni: usize) -> Evaluation {
     }
 }
 
-/// Evaluates the paper's full 13-workload suite on `npu` (Figs. 5-6).
-pub fn evaluate_paper_suite(npu: &NpuConfig) -> Evaluation {
-    evaluate(npu, &zoo::all_models())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seda_models::zoo;
 
     #[test]
     fn partial_evaluations_drop_only_the_poisoned_workloads() {
@@ -295,7 +271,7 @@ mod tests {
         // The Fig. 5/6 path must run tiling + burst generation once per
         // distinct (NPU, model) pair, not once per scheme.
         let models = vec![zoo::lenet(), zoo::dlrm()];
-        let (_, stats) = evaluate_with_stats(&NpuConfig::edge(), &models);
+        let stats = lineup(&[NpuConfig::edge()], &models).run().stats;
         assert_eq!(stats.trace_misses, models.len() as u64);
         assert_eq!(
             stats.trace_hits,

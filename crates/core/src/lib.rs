@@ -32,7 +32,7 @@
 //! let slowdown = seda.total_cycles as f64 / base.total_cycles as f64;
 //! // LeNet is degenerately small (a whole inference is ~20k cycles), so a
 //! // single extra metadata line is visible; on the paper's suite SeDA's
-//! // slowdown is <1%. See `experiment::evaluate_paper_suite`.
+//! // slowdown is <1%: `experiment::evaluate(&npu, &zoo::all_models())`.
 //! assert!(slowdown < 1.15);
 //! ```
 
@@ -52,15 +52,10 @@ pub mod sealing;
 pub mod sweep;
 
 pub use error::SedaError;
-pub use experiment::{
-    evaluate, evaluate_paper_suite, evaluate_suites, evaluate_suites_dram_mapped,
-    evaluate_with_stats, evaluations_of, partial_evaluations_of, Evaluation,
-};
+pub use experiment::{evaluate, evaluations_of, lineup, partial_evaluations_of, Evaluation};
 pub use functional::{run_protected, run_reference, IntegrityViolation, SecureMemory};
 pub use pipeline::{
-    dram_config_for, run_model, run_model_repeated, run_model_repeated_with_verifier,
-    run_model_with_verifier, run_spec, run_trace, try_run_trace, try_run_trace_with_dram,
-    LoweredTrace, RunResult, RunSpec,
+    dram_config_for, run_model, run_spec, run_trace, LoweredTrace, RunResult, RunSpec,
 };
 pub use resilience::{
     load_journal, FailurePolicy, FailureReport, FaultHook, JournalContents, JournalHeader,

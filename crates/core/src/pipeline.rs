@@ -6,13 +6,15 @@
 //! simulator; per-layer runtime is the maximum of compute and memory time
 //! under double buffering.
 //!
-//! All entry points funnel into one kernel, [`run_trace`], parameterized
-//! by a [`RunSpec`]: single runs, verifier-modelled runs, and repeated
-//! steady-state runs are the same loop with different spec fields. The
-//! kernel consumes a pre-simulated trace (`&ModelSim`), so callers that
-//! evaluate many schemes over the same (NPU, model) pair — the [`Sweep`]
-//! engine, notably — share one simulation via
-//! [`seda_scalesim::TraceCache`].
+//! There are three run entry points. [`run_trace`] is the one fallible
+//! kernel: it consumes a pre-simulated trace (`&ModelSim`) and an
+//! explicit [`DramSim`], so callers that evaluate many schemes over the
+//! same (NPU, model) pair — the [`Sweep`] engine, notably — share one
+//! simulation via [`seda_scalesim::TraceCache`]. [`run_spec`] simulates a
+//! [`RunSpec`] (single, verifier-modelled, or repeated steady-state runs
+//! are the same loop with different spec fields) and calls the kernel on
+//! the NPU's derived DRAM system; [`run_model`] is the one-inference
+//! shorthand.
 //!
 //! [`Sweep`]: crate::sweep::Sweep
 
@@ -29,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// Exposed so callers that need a perturbed memory system — the
 /// golden-figure sensitivity self-tests, ablation sweeps — can start from
 /// the exact configuration the default pipeline would use and hand the
-/// modified copy to [`try_run_trace_with_dram`] or
+/// modified copy to [`run_trace`] (as a [`DramSim`]) or
 /// [`Sweep::dram_map`](crate::sweep::Sweep::dram_map).
 pub fn dram_config_for(npu: &NpuConfig) -> DramConfig {
     DramConfig::ddr4_with_bandwidth(npu.dram_channels, npu.dram_bandwidth)
@@ -200,8 +202,10 @@ impl RunResult {
 /// let npu = NpuConfig::edge();
 /// let model = zoo::lenet();
 /// let spec = RunSpec::new(&npu, &model).repeats(3);
-/// let runs = run_spec(&spec, &mut Unprotected::new());
+/// let runs = run_spec(&spec, &mut Unprotected::new()).unwrap();
 /// assert_eq!(runs.len(), 3);
+/// // Zero inferences is a malformed spec, not a panic.
+/// assert!(run_spec(&spec.repeats(0), &mut Unprotected::new()).is_err());
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec<'a> {
@@ -240,33 +244,65 @@ impl<'a> RunSpec<'a> {
     }
 }
 
-/// Simulates the trace for `spec` and replays it through `scheme`.
+/// Simulates the trace for `spec` and replays it through `scheme` on the
+/// DRAM system [`dram_config_for`] derives from the NPU.
 ///
 /// Convenience wrapper over [`run_trace`] for one-off runs; sweep-style
 /// callers should simulate once (or use a [`seda_scalesim::TraceCache`])
 /// and call [`run_trace`] per scheme.
-pub fn run_spec(spec: &RunSpec<'_>, scheme: &mut dyn ProtectionScheme) -> Vec<RunResult> {
+///
+/// # Errors
+///
+/// Returns [`SedaError::InvalidSpec`] when `spec.repeats == 0`.
+pub fn run_spec(
+    spec: &RunSpec<'_>,
+    scheme: &mut dyn ProtectionScheme,
+) -> Result<Vec<RunResult>, SedaError> {
     let sim = simulate_model(spec.npu, spec.model);
-    run_trace(&sim, spec.npu, scheme, spec.verifier.as_ref(), spec.repeats)
+    run_trace(
+        &sim,
+        spec.npu,
+        scheme,
+        spec.verifier.as_ref(),
+        spec.repeats,
+        DramSim::new(dram_config_for(spec.npu)),
+    )
 }
 
 /// The single simulation kernel behind every run entry point.
 ///
 /// Replays `repeats` back-to-back inferences of a pre-simulated burst
-/// trace through `scheme` and the DRAM simulator, returning one
-/// [`RunResult`] per inference. Per layer, runtime is
-/// `max(compute, memory)` under double buffering; with a `verifier`,
-/// every fetched byte additionally streams through the hash engine, so an
-/// undersized verifier (throughput below memory bandwidth) becomes the
-/// layer bottleneck and each layer pays the engine's drain latency once.
-/// Scheme metadata caches and DRAM bank state persist across inferences
-/// (steady-state behaviour); the final metadata flush is charged to the
-/// last inference.
+/// trace through `scheme` and `dram`, returning one [`RunResult`] per
+/// inference. Per layer, runtime is `max(compute, memory)` under double
+/// buffering; with a `verifier`, every fetched byte additionally streams
+/// through the hash engine, so an undersized verifier (throughput below
+/// memory bandwidth) becomes the layer bottleneck and each layer pays the
+/// engine's drain latency once. Scheme metadata caches and DRAM bank
+/// state persist across inferences (steady-state behaviour); the final
+/// metadata flush is charged to the last inference.
+///
+/// The simulator is taken fully constructed, which makes it the injection
+/// point for memory-system ablations: a perturbed [`DramConfig`] (the
+/// golden-figure sensitivity self-tests add one cycle of burst length) or
+/// a simulator-level knob such as the batched replay's worker cap
+/// ([`DramSim::set_replay_threads`], which
+/// [`Sweep::dram_replay_threads`](crate::sweep::Sweep::dram_replay_threads)
+/// threads through here). It should be freshly constructed; pre-existing
+/// bank or clock state would be charged to this run.
+///
+/// The kernel lowers and replays one layer at a time: each layer's bursts
+/// go through the scheme into a reused packed buffer, which
+/// [`DramSim::run_batch_packed`] replays before the next layer is
+/// lowered. The results are those of lowering a whole [`LoweredTrace`]
+/// first, with peak memory bounded by the largest layer. The [`Sweep`]
+/// engine calls it directly, so a bad point degrades into a captured
+/// error rather than tearing down the whole evaluation.
 ///
 /// # Examples
 ///
 /// ```
-/// use seda::pipeline::run_trace;
+/// use seda::pipeline::{dram_config_for, run_trace};
+/// use seda_dram::DramSim;
 /// use seda_models::zoo;
 /// use seda_protect::Unprotected;
 /// use seda_scalesim::{simulate_model, NpuConfig};
@@ -274,88 +310,18 @@ pub fn run_spec(spec: &RunSpec<'_>, scheme: &mut dyn ProtectionScheme) -> Vec<Ru
 /// let npu = NpuConfig::edge();
 /// let sim = simulate_model(&npu, &zoo::lenet());
 /// // One simulation, many replays: each scheme reuses `sim`.
-/// let runs = run_trace(&sim, &npu, &mut Unprotected::new(), None, 2);
+/// let dram = DramSim::new(dram_config_for(&npu));
+/// let runs = run_trace(&sim, &npu, &mut Unprotected::new(), None, 2, dram).unwrap();
 /// assert_eq!(runs.len(), 2);
 /// assert!(runs[0].total_cycles > 0);
 /// ```
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when `repeats == 0`; use [`try_run_trace`] for a typed error.
+/// Returns [`SedaError::InvalidSpec`] when `repeats == 0`.
+///
+/// [`Sweep`]: crate::sweep::Sweep
 pub fn run_trace(
-    sim: &ModelSim,
-    npu: &NpuConfig,
-    scheme: &mut dyn ProtectionScheme,
-    verifier: Option<&HashEngine>,
-    repeats: u32,
-) -> Vec<RunResult> {
-    // Invariant: the only failure mode of the kernel is `repeats == 0`,
-    // asserted here so existing callers keep their panic contract.
-    assert!(repeats > 0, "need at least one inference");
-    #[allow(clippy::expect_used)]
-    let results = try_run_trace(sim, npu, scheme, verifier, repeats).expect("repeats > 0");
-    results
-}
-
-/// Fallible form of [`run_trace`]: a malformed spec surfaces as
-/// [`SedaError::InvalidSpec`] instead of a panic. The sweep engine and the
-/// adversary harness use this form so that a bad point degrades into a
-/// captured error rather than tearing down the whole evaluation.
-///
-/// # Errors
-///
-/// Returns [`SedaError::InvalidSpec`] when `repeats == 0`.
-pub fn try_run_trace(
-    sim: &ModelSim,
-    npu: &NpuConfig,
-    scheme: &mut dyn ProtectionScheme,
-    verifier: Option<&HashEngine>,
-    repeats: u32,
-) -> Result<Vec<RunResult>, SedaError> {
-    try_run_trace_with_dram(sim, npu, scheme, verifier, repeats, dram_config_for(npu))
-}
-
-/// [`try_run_trace`] with an explicit DRAM configuration instead of the
-/// one [`dram_config_for`] derives from the NPU.
-///
-/// This is the injection point for memory-system ablations: the
-/// golden-figure suite replays the pinned workloads with a one-cycle
-/// burst-length (and refresh-window) perturbation to prove the fixtures
-/// actually pin the DRAM timing path.
-///
-/// # Errors
-///
-/// Returns [`SedaError::InvalidSpec`] when `repeats == 0`.
-pub fn try_run_trace_with_dram(
-    sim: &ModelSim,
-    npu: &NpuConfig,
-    scheme: &mut dyn ProtectionScheme,
-    verifier: Option<&HashEngine>,
-    repeats: u32,
-    dram_cfg: DramConfig,
-) -> Result<Vec<RunResult>, SedaError> {
-    try_run_trace_with_dram_sim(sim, npu, scheme, verifier, repeats, DramSim::new(dram_cfg))
-}
-
-/// [`try_run_trace_with_dram`] with a fully constructed simulator instead
-/// of a configuration — the injection point for simulator-level knobs that
-/// are not part of [`DramConfig`], such as the batched replay's worker cap
-/// ([`DramSim::set_replay_threads`], which
-/// [`Sweep::dram_replay_threads`](crate::sweep::Sweep::dram_replay_threads)
-/// threads through here). The simulator should be freshly constructed;
-/// pre-existing bank or clock state would be charged to this run.
-///
-/// This is where every run entry point ends up. It lowers and replays one
-/// layer at a time: each layer's bursts go through the scheme into a
-/// reused packed buffer, which [`DramSim::run_batch_packed`] replays
-/// before the next layer is lowered. The results are those of lowering a
-/// whole [`LoweredTrace`] first, with peak memory bounded by the largest
-/// layer.
-///
-/// # Errors
-///
-/// Returns [`SedaError::InvalidSpec`] when `repeats == 0`.
-pub fn try_run_trace_with_dram_sim(
     sim: &ModelSim,
     npu: &NpuConfig,
     scheme: &mut dyn ProtectionScheme,
@@ -446,59 +412,14 @@ pub fn try_run_trace_with_dram_sim(
 /// assert!(r.total_cycles > 0);
 /// ```
 pub fn run_model(npu: &NpuConfig, model: &Model, scheme: &mut dyn ProtectionScheme) -> RunResult {
-    run_model_with_verifier(npu, model, scheme, None)
-}
-
-/// Like [`run_model`], additionally modelling the integrity-verification
-/// engine: every fetched byte streams through the hash engine, so an
-/// undersized verifier (throughput below memory bandwidth) becomes the
-/// layer bottleneck, and each layer pays the engine's drain latency once.
-pub fn run_model_with_verifier(
-    npu: &NpuConfig,
-    model: &Model,
-    scheme: &mut dyn ProtectionScheme,
-    verifier: Option<&HashEngine>,
-) -> RunResult {
-    let mut spec = RunSpec::new(npu, model);
-    spec.verifier = verifier.copied();
-    // Invariant: the kernel returns exactly `repeats` results and the
-    // spec above fixes `repeats = 1`.
+    // Invariant: a one-inference spec is well formed, and the kernel
+    // returns exactly one result per inference.
     #[allow(clippy::expect_used)]
-    let result = run_spec(&spec, scheme)
+    let result = run_spec(&RunSpec::new(npu, model), scheme)
+        .expect("repeats == 1")
         .pop()
         .expect("kernel returns one result per inference");
     result
-}
-
-/// Runs `n` back-to-back inferences without resetting the scheme's
-/// metadata caches or the DRAM bank state, exposing steady-state behaviour
-/// (warm metadata caches, amortized flushes). Returns per-inference total
-/// cycles; pass a `verifier` to model the integrity engine throughout.
-pub fn run_model_repeated(
-    npu: &NpuConfig,
-    model: &Model,
-    scheme: &mut dyn ProtectionScheme,
-    n: u32,
-) -> Vec<u64> {
-    run_model_repeated_with_verifier(npu, model, scheme, None, n)
-}
-
-/// [`run_model_repeated`] with the integrity-verification engine modelled
-/// on every inference — steady-state and verifier analysis combined,
-/// which the pre-unification pipeline could not express.
-pub fn run_model_repeated_with_verifier(
-    npu: &NpuConfig,
-    model: &Model,
-    scheme: &mut dyn ProtectionScheme,
-    verifier: Option<&HashEngine>,
-    n: u32,
-) -> Vec<u64> {
-    let mut spec = RunSpec::new(npu, model).repeats(n);
-    spec.verifier = verifier.copied();
-    run_spec(&spec, scheme)
-        .into_iter()
-        .map(|r| r.total_cycles)
-        .collect()
 }
 
 #[cfg(test)]
@@ -506,6 +427,17 @@ mod tests {
     use super::*;
     use seda_models::zoo;
     use seda_protect::{BlockMacKind, BlockMacScheme, LayerMacStore, SedaScheme, Unprotected};
+
+    /// The kernel on the NPU's derived DRAM system.
+    fn replay(
+        sim: &ModelSim,
+        npu: &NpuConfig,
+        scheme: &mut dyn ProtectionScheme,
+        repeats: u32,
+    ) -> Result<Vec<RunResult>, SedaError> {
+        let dram = DramSim::new(dram_config_for(npu));
+        run_trace(sim, npu, scheme, None, repeats, dram)
+    }
 
     #[test]
     fn protected_runs_are_never_faster() {
@@ -571,11 +503,13 @@ mod tests {
     fn zero_repeats_is_a_typed_error() {
         let npu = NpuConfig::edge();
         let m = zoo::lenet();
-        let sim = simulate_model(&npu, &m);
-        let err = try_run_trace(&sim, &npu, &mut Unprotected::new(), None, 0)
-            .expect_err("zero repeats is malformed");
+        let spec = RunSpec::new(&npu, &m).repeats(0);
+        let err = run_spec(&spec, &mut Unprotected::new()).expect_err("zero repeats is malformed");
         assert!(matches!(err, SedaError::InvalidSpec { .. }));
         assert!(err.to_string().contains("repeats"));
+        let sim = simulate_model(&npu, &m);
+        let kernel_err = replay(&sim, &npu, &mut Unprotected::new(), 0).expect_err("kernel too");
+        assert_eq!(kernel_err, err);
     }
 
     #[test]
@@ -608,17 +542,10 @@ mod tests {
     fn explicit_default_dram_config_matches_derived() {
         let npu = NpuConfig::edge();
         let m = zoo::lenet();
+        let implicit =
+            run_spec(&RunSpec::new(&npu, &m).repeats(2), &mut Unprotected::new()).unwrap();
         let sim = simulate_model(&npu, &m);
-        let implicit = try_run_trace(&sim, &npu, &mut Unprotected::new(), None, 2).unwrap();
-        let explicit = try_run_trace_with_dram(
-            &sim,
-            &npu,
-            &mut Unprotected::new(),
-            None,
-            2,
-            dram_config_for(&npu),
-        )
-        .unwrap();
+        let explicit = replay(&sim, &npu, &mut Unprotected::new(), 2).unwrap();
         let cycles = |rs: &[RunResult]| rs.iter().map(|r| r.total_cycles).collect::<Vec<_>>();
         assert_eq!(cycles(&implicit), cycles(&explicit));
         assert_eq!(implicit.last().unwrap().dram, explicit.last().unwrap().dram);
@@ -629,11 +556,18 @@ mod tests {
         let npu = NpuConfig::edge();
         let m = zoo::lenet();
         let sim = simulate_model(&npu, &m);
-        let base = try_run_trace(&sim, &npu, &mut Unprotected::new(), None, 1).unwrap();
+        let base = replay(&sim, &npu, &mut Unprotected::new(), 1).unwrap();
         let mut cfg = dram_config_for(&npu);
         cfg.t_bl += 1;
-        let slower =
-            try_run_trace_with_dram(&sim, &npu, &mut Unprotected::new(), None, 1, cfg).unwrap();
+        let slower = run_trace(
+            &sim,
+            &npu,
+            &mut Unprotected::new(),
+            None,
+            1,
+            DramSim::new(cfg),
+        )
+        .unwrap();
         assert!(
             slower[0].total_cycles > base[0].total_cycles,
             "a longer burst must slow the memory-bound layers"
@@ -646,7 +580,8 @@ mod tests {
         let m = zoo::lenet();
         let sim = simulate_model(&npu, &m);
         let direct = run_model(&npu, &m, &mut Unprotected::new());
-        let traced = run_trace(&sim, &npu, &mut Unprotected::new(), None, 1)
+        let traced = replay(&sim, &npu, &mut Unprotected::new(), 1)
+            .unwrap()
             .pop()
             .unwrap();
         assert_eq!(direct.total_cycles, traced.total_cycles);
@@ -660,17 +595,26 @@ mod verifier_tests {
     use seda_models::zoo;
     use seda_protect::{BlockMacKind, BlockMacScheme, HashEngine, Unprotected};
 
+    /// Total cycles of each inference `spec` describes.
+    fn totals(spec: &RunSpec<'_>, scheme: &mut dyn ProtectionScheme) -> Vec<u64> {
+        let runs = run_spec(spec, scheme).unwrap();
+        runs.iter().map(|r| r.total_cycles).collect()
+    }
+
     #[test]
     fn adequate_verifier_adds_only_drain_latency() {
         let npu = NpuConfig::edge();
         let m = zoo::lenet();
         let plain = run_model(&npu, &m, &mut Unprotected::new());
         let engine = HashEngine::default();
-        let verified = run_model_with_verifier(&npu, &m, &mut Unprotected::new(), Some(&engine));
+        let verified = totals(
+            &RunSpec::new(&npu, &m).verifier(engine),
+            &mut Unprotected::new(),
+        )[0];
         let max_extra = m.layers().len() as u64 * engine.layer_check_exposure();
-        assert!(verified.total_cycles >= plain.total_cycles);
+        assert!(verified >= plain.total_cycles);
         assert!(
-            verified.total_cycles <= plain.total_cycles + max_extra,
+            verified <= plain.total_cycles + max_extra,
             "a well-sized verifier must stay off the critical path"
         );
     }
@@ -679,15 +623,13 @@ mod verifier_tests {
     fn undersized_verifier_becomes_the_bottleneck() {
         let npu = NpuConfig::edge();
         let m = zoo::alexnet();
-        let fast = HashEngine::new(32.0, 80);
-        let slow = HashEngine::new(0.25, 80);
-        let quick = run_model_with_verifier(&npu, &m, &mut Unprotected::new(), Some(&fast));
-        let choked = run_model_with_verifier(&npu, &m, &mut Unprotected::new(), Some(&slow));
+        let fast = RunSpec::new(&npu, &m).verifier(HashEngine::new(32.0, 80));
+        let slow = RunSpec::new(&npu, &m).verifier(HashEngine::new(0.25, 80));
+        let quick = totals(&fast, &mut Unprotected::new())[0];
+        let choked = totals(&slow, &mut Unprotected::new())[0];
         assert!(
-            choked.total_cycles > 2 * quick.total_cycles,
-            "0.25 B/cycle must choke a 10 GB/s stream: {} vs {}",
-            choked.total_cycles,
-            quick.total_cycles
+            choked > 2 * quick,
+            "0.25 B/cycle must choke a 10 GB/s stream: {choked} vs {quick}"
         );
     }
 
@@ -697,11 +639,10 @@ mod verifier_tests {
         // steady-state runs; the unified kernel must.
         let npu = NpuConfig::edge();
         let m = zoo::lenet();
-        let engine = HashEngine::new(0.25, 80);
-        let mut sgx = BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30);
-        let choked = run_model_repeated_with_verifier(&npu, &m, &mut sgx, Some(&engine), 3);
-        let mut sgx2 = BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30);
-        let plain = run_model_repeated(&npu, &m, &mut sgx2, 3);
+        let spec = RunSpec::new(&npu, &m).repeats(3);
+        let sgx = || BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30);
+        let choked = totals(&spec.verifier(HashEngine::new(0.25, 80)), &mut sgx());
+        let plain = totals(&spec, &mut sgx());
         assert_eq!(choked.len(), 3);
         for (c, p) in choked.iter().zip(&plain) {
             assert!(c > p, "verifier must slow every inference: {c} vs {p}");
@@ -715,12 +656,23 @@ mod repeated_tests {
     use seda_models::zoo;
     use seda_protect::{BlockMacKind, BlockMacScheme, Unprotected};
 
+    /// Total cycles of `n` back-to-back inferences of `model`.
+    fn repeated(
+        npu: &NpuConfig,
+        model: &Model,
+        scheme: &mut dyn ProtectionScheme,
+        n: u32,
+    ) -> Vec<u64> {
+        let runs = run_spec(&RunSpec::new(npu, model).repeats(n), scheme).unwrap();
+        runs.iter().map(|r| r.total_cycles).collect()
+    }
+
     #[test]
     fn steady_state_is_no_slower_than_cold_start() {
         let npu = NpuConfig::edge();
         let m = zoo::ncf();
         let mut sgx = BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30);
-        let totals = run_model_repeated(&npu, &m, &mut sgx, 4);
+        let totals = repeated(&npu, &m, &mut sgx, 4);
         assert_eq!(totals.len(), 4);
         // The first inference runs with cold (empty) caches and defers its
         // dirty evictions; steady state pays those writebacks, so later
@@ -737,30 +689,24 @@ mod repeated_tests {
     fn baseline_is_stable_across_inferences() {
         let npu = NpuConfig::edge();
         let m = zoo::lenet();
-        let totals = run_model_repeated(&npu, &m, &mut Unprotected::new(), 3);
+        let totals = repeated(&npu, &m, &mut Unprotected::new(), 3);
         assert_eq!(totals[1], totals[2], "no state to warm up: {totals:?}");
     }
 
     #[test]
     fn repeated_first_inference_matches_single_run() {
         // One kernel for all entry points: the first of n inferences must
-        // be bit-identical to a standalone run (before the final drain).
+        // be bit-identical to a standalone run before the final drain,
+        // which only the standalone run's total absorbs.
         let npu = NpuConfig::edge();
         let m = zoo::lenet();
-        let totals = run_model_repeated(
-            &npu,
-            &m,
-            &mut BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30),
-            3,
-        );
-        let spec = RunSpec::new(&npu, &m).repeats(3);
-        let runs = run_spec(
-            &spec,
-            &mut BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30),
-        );
-        assert_eq!(
-            totals,
-            runs.iter().map(|r| r.total_cycles).collect::<Vec<_>>()
-        );
+        let sgx = || BlockMacScheme::new(BlockMacKind::Sgx, 64, 16 << 30);
+        let single = run_model(&npu, &m, &mut sgx());
+        let runs = run_spec(&RunSpec::new(&npu, &m).repeats(3), &mut sgx()).unwrap();
+        assert_eq!(runs.len(), 3);
+        assert_eq!(runs[0].layers, single.layers);
+        let layer_sum: u64 = single.layers.iter().map(|l| l.cycles).sum();
+        assert_eq!(runs[0].total_cycles, layer_sum);
+        assert!(single.total_cycles >= layer_sum);
     }
 }

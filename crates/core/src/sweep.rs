@@ -36,7 +36,7 @@
 //! ```
 
 use crate::error::SedaError;
-use crate::pipeline::{dram_config_for, try_run_trace_with_dram_sim, RunResult};
+use crate::pipeline::{dram_config_for, run_trace, RunResult};
 use crate::resilience::{
     AttemptRecord, FailurePolicy, FailureReport, FaultHook, PointContext, PointFailure,
     PointReport, PointSink,
@@ -633,7 +633,7 @@ impl Sweep {
             if let Some(n) = self.dram_replay_threads {
                 dram.set_replay_threads(n);
             }
-            try_run_trace_with_dram_sim(
+            run_trace(
                 &sim,
                 npu,
                 scheme.as_mut(),
@@ -699,7 +699,7 @@ impl Sweep {
                     if let Some(n) = replay_threads {
                         dram.set_replay_threads(n);
                     }
-                    try_run_trace_with_dram_sim(
+                    run_trace(
                         &sim,
                         &npu,
                         scheme.as_mut(),

@@ -9,8 +9,8 @@
 //! points: one think-time draw plus one tenant pick per issue, from the
 //! issuing client's own stream.
 
-use crate::rng::Rng;
 use crate::spec::{ArrivalSim, BurstSim, DiurnalSim, SimSpec, STREAM_ARRIVALS, STREAM_CLIENTS};
+use seda_adversary::Rng;
 
 /// One issued request, before service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +63,7 @@ pub fn think_draw(rng: &mut Rng, mean_cycles: f64) -> u64 {
 
 /// The per-client RNG stream for closed-loop draws.
 pub fn client_rng(seed: u64, client: u32) -> Rng {
-    Rng::for_stream(seed, STREAM_CLIENTS + u64::from(client))
+    Rng::derive(seed, STREAM_CLIENTS + u64::from(client))
 }
 
 /// How many requests client `c` of `clients` issues out of `requests`
@@ -93,7 +93,7 @@ pub fn open_loop_trace(spec: &SimSpec) -> Vec<Arrival> {
         panic!("open_loop_trace needs an open-loop arrival spec");
     };
     let weights = spec.weights();
-    let mut rng = Rng::for_stream(spec.seed, STREAM_ARRIVALS);
+    let mut rng = Rng::derive(spec.seed, STREAM_ARRIVALS);
     let mut t = 0.0f64;
     let mut out = Vec::with_capacity(requests as usize);
     for id in 0..requests {

@@ -11,10 +11,11 @@
 //! space; the differential oracle instead constructs tiny synthetic
 //! `SimSpec`s directly, so the brute-force reference stays tractable.
 
-use crate::rng::Rng;
-use seda::pipeline::{dram_config_for, try_run_trace_with_dram};
+use seda::dram::DramSim;
+use seda::pipeline::{dram_config_for, run_trace};
 use seda::scenario::{ArrivalSpec, Scenario, ScenarioError, ServingSpec};
 use seda::SedaError;
+use seda_adversary::Rng;
 use seda_adversary::{ProtectConfig, ProtectedImage};
 use seda_protect::HashEngine;
 use seda_scalesim::TraceCache;
@@ -326,24 +327,21 @@ fn seal_tenant(
     index: usize,
     model: &seda_models::Model,
 ) -> Result<TenantSeal, SedaError> {
-    let mut key_rng = Rng::for_stream(seed, STREAM_KEYS + index as u64);
+    let mut key_rng = Rng::derive(seed, STREAM_KEYS + index as u64);
     let enc_key = key_rng.block();
     let mac_key = key_rng.block();
-    let key_id = Rng::for_stream(seed, STREAM_KEY_IDS + index as u64).next_u64();
+    let key_id = Rng::derive(seed, STREAM_KEY_IDS + index as u64).next_u64();
     // Index 2 of the detection matrix is the full SeDA configuration:
     // layer-granularity MACs, position-bound binding, per-model pads,
     // and the on-chip model root.
     let config = ProtectConfig::matrix()[2];
     let lens = seal_lens(model);
     let mut image = ProtectedImage::new(config, &lens, enc_key, mac_key)?;
-    let mut payload_rng = Rng::for_stream(seed, STREAM_PAYLOADS + index as u64);
+    let mut payload_rng = Rng::derive(seed, STREAM_PAYLOADS + index as u64);
     let mut payloads = Vec::with_capacity(lens.len());
     for (layer, len) in lens.iter().enumerate() {
         let mut data = vec![0u8; *len];
-        for chunk in data.chunks_mut(8) {
-            let w = payload_rng.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&w[..chunk.len()]);
-        }
+        payload_rng.fill(&mut data);
         image.write_layer(layer, &data)?;
         payloads.push(data);
     }
@@ -366,8 +364,8 @@ fn seal_swap(
     tenant: usize,
     model: &seda_models::Model,
 ) -> Result<SwapSeal, SedaError> {
-    let mut key_rng = Rng::for_stream(seed, STREAM_SWAP_KEYS + index as u64);
-    let key_id = Rng::for_stream(seed, STREAM_SWAP_KEY_IDS + index as u64).next_u64();
+    let mut key_rng = Rng::derive(seed, STREAM_SWAP_KEYS + index as u64);
+    let key_id = Rng::derive(seed, STREAM_SWAP_KEY_IDS + index as u64).next_u64();
     let stream_spec = seda_stream::StreamSpec {
         stream_id: key_id,
         // Tenants seal at epoch 1; a swap provisions at the next epoch,
@@ -379,16 +377,13 @@ fn seal_swap(
         mac_key: key_rng.block(),
         transport_key: key_rng.block(),
     };
-    let mut payload_rng = Rng::for_stream(seed, STREAM_SWAP_PAYLOADS + index as u64);
+    let mut payload_rng = Rng::derive(seed, STREAM_SWAP_PAYLOADS + index as u64);
     let payloads: Vec<Vec<u8>> = stream_spec
         .lens
         .iter()
         .map(|&len| {
             let mut data = vec![0u8; len];
-            for chunk in data.chunks_mut(8) {
-                let w = payload_rng.next_u64().to_le_bytes();
-                chunk.copy_from_slice(&w[..chunk.len()]);
-            }
+            payload_rng.fill(&mut data);
             data
         })
         .collect();
@@ -479,13 +474,13 @@ pub fn build(scenario: &Scenario) -> Result<ServeSetup, SedaError> {
      -> Result<Vec<Vec<u64>>, SedaError> {
         let trace = cache.get_or_simulate(&npu, model);
         let mut scheme = scheme_spec.instantiate()?;
-        let runs = try_run_trace_with_dram(
+        let runs = run_trace(
             &trace,
             &npu,
             scheme.as_mut(),
             verifier.as_ref(),
             max_batch,
-            dram_cfg.clone(),
+            DramSim::new(dram_cfg.clone()),
         )?;
         Ok(runs
             .iter()

@@ -2,8 +2,9 @@
 //! machinery: the seeded Poisson process must actually be Poisson, the
 //! closed loop must actually be closed, and seeds must pin everything.
 
+use seda_adversary::Rng;
 use seda_serve::spec::STREAM_ARRIVALS;
-use seda_serve::{simulate, Arrival, ArrivalSim, Rng, Scheduler, SimOutcome, SimSpec, TenantSim};
+use seda_serve::{simulate, Arrival, ArrivalSim, Scheduler, SimOutcome, SimSpec, TenantSim};
 
 fn tenant(name: &str, layers: Vec<u64>, weight: u64) -> TenantSim {
     TenantSim {
@@ -26,7 +27,7 @@ fn tenant(name: &str, layers: Vec<u64>, weight: u64) -> TenantSim {
 fn poisson_interarrivals_match_exponential_moments() {
     const N: usize = 100_000;
     let mean = 40.0;
-    let mut rng = Rng::for_stream(0xD15EA5E, STREAM_ARRIVALS);
+    let mut rng = Rng::derive(0xD15EA5E, STREAM_ARRIVALS);
     let draws: Vec<f64> = (0..N).map(|_| rng.exp(mean)).collect();
     let sample_mean = draws.iter().sum::<f64>() / N as f64;
     let sample_var = draws.iter().map(|d| (d - sample_mean).powi(2)).sum::<f64>() / (N - 1) as f64;

@@ -21,12 +21,10 @@
 //! pushing the remaining bytes continues cleanly from the last verified
 //! block.
 //!
-//! [`pipeline::unseal_pipelined`] is the provisioning fast path: a
-//! double-buffered two-stage pipeline overlapping transport crypto with
-//! packed DRAM replay ([`seda_dram::DramSim::run_batch_packed`]) of each
-//! verified layer's write-out, reporting sustained GB/s and the overlap
-//! efficiency against a serial crypto-then-replay baseline
-//! (`stream_bench` pins both in `BENCH_stream.json`).
+//! [`pipeline::measure`] is the provisioning path: it verifies the whole
+//! stream, then replays each verified layer's write-out through packed
+//! DRAM replay ([`seda_dram::DramSim::run_batch_packed`]), reporting
+//! sustained GB/s (`stream_bench` pins it in `BENCH_stream.json`).
 //!
 //! [`SedaError::Tag`]: seda::SedaError::Tag
 //! [`StreamViolation`]: seda::error::StreamViolation
@@ -42,7 +40,7 @@ pub mod seal;
 pub mod unseal;
 
 pub use frame::{header_len, FRAME_BYTES, MAGIC, MAX_LAYERS};
-pub use pipeline::{measure, unseal_pipelined, unseal_serial, UnsealRun, CHUNK_BYTES};
+pub use pipeline::{measure, UnsealRun, CHUNK_BYTES};
 pub use seal::{model_lens, seal, SealedStream, StreamSpec};
 pub use unseal::{unseal, StreamUnsealer};
 

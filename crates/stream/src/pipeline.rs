@@ -1,29 +1,24 @@
-//! The provisioning fast path: overlap transport crypto with DRAM
-//! replay.
+//! The provisioning path: verify a stream, then replay its write-out.
 //!
-//! Unsealing a stream has two stages with independent resources: the
-//! chained-MAC verification plus pad removal (crypto engines), and the
-//! write-out of each verified layer to off-chip memory (the DRAM
-//! channel, modeled by [`DramSim`]'s packed batch replay). The
-//! [`unseal_pipelined`] path runs them as a two-stage pipeline with a
-//! depth-2 channel — double buffering — so layer `k`'s replay overlaps
-//! layer `k+1`'s verification, exactly the overlap a provisioning DMA
-//! engine would give. [`unseal_serial`] is the crypto-then-replay
-//! baseline the overlap-efficiency metric compares against.
+//! Unsealing a stream has two stages: the chained-MAC verification plus
+//! pad removal (crypto engines), and the write-out of each verified
+//! layer to off-chip memory (the DRAM channel, modeled by [`DramSim`]'s
+//! packed batch replay). [`measure`] runs them back to back — the whole
+//! stream is verified before a single write is replayed — and reports
+//! the sustained payload throughput.
 
 use crate::seal::StreamSpec;
 use crate::unseal::StreamUnsealer;
 use seda::SedaError;
 use seda_adversary::{ProtectedImage, BLOCK};
 use seda_dram::{DramConfig, DramSim, Request};
-use std::sync::mpsc;
 use std::time::Instant;
 
 /// Stream bytes handed to the unsealer per push — a line-rate NIC
 /// burst's worth of frames.
 pub const CHUNK_BYTES: usize = 4096;
 
-/// A completed pipelined unseal with its throughput measurements.
+/// A completed unseal with its throughput measurement.
 #[derive(Debug)]
 pub struct UnsealRun {
     /// The verified, installed image.
@@ -32,15 +27,8 @@ pub struct UnsealRun {
     pub payload_bytes: u64,
     /// Protection blocks verified.
     pub blocks: u64,
-    /// Wall-clock seconds of the pipelined unseal.
-    pub pipelined_s: f64,
-    /// Wall-clock seconds of the serial crypto-then-replay baseline.
-    pub serial_s: f64,
-    /// Sustained payload throughput of the pipelined path in GB/s.
+    /// Sustained payload throughput of verification plus replay, in GB/s.
     pub gbps_sustained: f64,
-    /// Serial over pipelined wall time: above 1.0 means the overlap
-    /// paid for itself.
-    pub overlap_efficiency: f64,
     /// DRAM memory-clock cycles the replay consumed.
     pub replay_cycles: u64,
 }
@@ -52,82 +40,9 @@ fn layer_writes(pa0: u64, len: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Unseals a stream with crypto and DRAM replay overlapped.
-///
-/// The caller's thread verifies frames and installs layers; a replay
-/// thread drains verified layers through [`DramSim::run_batch_packed`]
-/// behind a depth-2 channel. The *result* is bit-identical to
-/// [`unseal_serial`] and to a one-shot [`crate::unseal()`] — threading
-/// affects wall-clock only.
-///
-/// # Errors
-///
-/// Propagates every unsealer violation (see [`StreamUnsealer`]).
-pub fn unseal_pipelined(
-    spec: &StreamSpec,
-    stream: &[u8],
-    dram: DramConfig,
-) -> Result<(ProtectedImage, u64, f64), SedaError> {
-    let started = Instant::now();
-    let pas = spec.layer_pas();
-    let lens = spec.lens.clone();
-    let (result, cycles) = std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::sync_channel::<(u64, usize)>(2);
-        let replay = scope.spawn(move || {
-            let mut sim = DramSim::new(dram);
-            while let Ok((pa0, len)) = rx.recv() {
-                sim.run_batch_packed(&layer_writes(pa0, len));
-            }
-            sim.elapsed_cycles()
-        });
-        let fed = (|| {
-            let mut unsealer = StreamUnsealer::new(spec.clone())?;
-            let mut sent = 0usize;
-            for chunk in stream.chunks(CHUNK_BYTES) {
-                unsealer.push(chunk)?;
-                while sent < unsealer.layers_installed() {
-                    // A full channel here *is* the double buffer: crypto
-                    // stalls only when two layers are already in flight.
-                    tx.send((pas[sent], lens[sent]))
-                        .expect("replay stage outlives the feed");
-                    sent += 1;
-                }
-            }
-            unsealer.finish()
-        })();
-        drop(tx);
-        let cycles = replay.join().expect("replay stage does not panic");
-        (fed, cycles)
-    });
-    let image = result?;
-    Ok((image, cycles, started.elapsed().as_secs_f64()))
-}
-
-/// The serial baseline: verify the whole stream, then replay every
-/// layer's write-out back to back.
-///
-/// # Errors
-///
-/// Propagates every unsealer violation (see [`StreamUnsealer`]).
-pub fn unseal_serial(
-    spec: &StreamSpec,
-    stream: &[u8],
-    dram: DramConfig,
-) -> Result<(ProtectedImage, u64, f64), SedaError> {
-    let started = Instant::now();
-    let mut unsealer = StreamUnsealer::new(spec.clone())?;
-    for chunk in stream.chunks(CHUNK_BYTES) {
-        unsealer.push(chunk)?;
-    }
-    let image = unsealer.finish()?;
-    let mut sim = DramSim::new(dram);
-    for (layer, &len) in spec.lens.iter().enumerate() {
-        sim.run_batch_packed(&layer_writes(spec.layer_pas()[layer], len));
-    }
-    Ok((image, sim.elapsed_cycles(), started.elapsed().as_secs_f64()))
-}
-
-/// Runs both paths over the same stream and summarizes throughput.
+/// Unseals `stream` in [`CHUNK_BYTES`] pushes, then replays every
+/// layer's write-out back to back, and summarizes throughput. The image
+/// is bit-identical to a one-shot [`crate::unseal()`].
 ///
 /// # Errors
 ///
@@ -137,21 +52,24 @@ pub fn measure(
     stream: &[u8],
     dram: &DramConfig,
 ) -> Result<UnsealRun, SedaError> {
-    let (image, replay_cycles, pipelined_s) = unseal_pipelined(spec, stream, dram.clone())?;
-    let (serial_image, serial_cycles, serial_s) = unseal_serial(spec, stream, dram.clone())?;
-    debug_assert_eq!(image.offchip_bytes(), serial_image.offchip_bytes());
-    debug_assert_eq!(replay_cycles, serial_cycles);
+    let started = Instant::now();
+    let mut unsealer = StreamUnsealer::new(spec.clone())?;
+    for chunk in stream.chunks(CHUNK_BYTES) {
+        unsealer.push(chunk)?;
+    }
+    let image = unsealer.finish()?;
+    let mut sim = DramSim::new(dram.clone());
+    for (&pa0, &len) in spec.layer_pas().iter().zip(&spec.lens) {
+        sim.run_batch_packed(&layer_writes(pa0, len));
+    }
+    let seconds = started.elapsed().as_secs_f64();
     let payload_bytes = spec.total_bytes() as u64;
-    seda_telemetry::counter_add("stream.pipelined_unseals", 1);
     Ok(UnsealRun {
         image,
         payload_bytes,
         blocks: spec.total_blocks(),
-        pipelined_s,
-        serial_s,
-        gbps_sustained: payload_bytes as f64 / pipelined_s.max(1e-9) / 1e9,
-        overlap_efficiency: serial_s / pipelined_s.max(1e-9),
-        replay_cycles,
+        gbps_sustained: payload_bytes as f64 / seconds.max(1e-9) / 1e9,
+        replay_cycles: sim.elapsed_cycles(),
     })
 }
 
@@ -178,7 +96,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_and_serial_agree_bit_for_bit() {
+    fn chunked_measure_matches_one_shot_unseal() {
         let sp = spec();
         let plains: Vec<Vec<u8>> = sp
             .lens
@@ -192,23 +110,23 @@ mod tests {
         assert_eq!(run.payload_bytes, 1024 + 512 + 2048);
         assert!(run.gbps_sustained > 0.0);
         assert!(run.replay_cycles > 0);
-        let (serial, _, _) = unseal_serial(&sp, stream.bytes(), dram()).expect("serial");
-        assert_eq!(run.image.offchip_bytes(), serial.offchip_bytes());
-        assert_eq!(run.image.model_root(), serial.model_root());
+        let one_shot = crate::unseal(&sp, stream.bytes()).expect("one-shot");
+        assert_eq!(run.image.offchip_bytes(), one_shot.offchip_bytes());
+        assert_eq!(run.image.model_root(), one_shot.model_root());
         assert_eq!(
             run.image.read_model().expect("verifies"),
             plains,
-            "pipelined unseal round-trips the plaintext"
+            "chunked unseal round-trips the plaintext"
         );
     }
 
     #[test]
-    fn pipelined_path_propagates_tamper_errors() {
+    fn measure_propagates_tamper_errors() {
         let sp = spec();
         let plains: Vec<Vec<u8>> = sp.lens.iter().map(|&len| vec![7u8; len]).collect();
         let mut stream = seal(&sp, &plains).expect("seal");
         stream.flip_bit(stream.frame_offset(10) + 20, 3);
-        let err = unseal_pipelined(&sp, stream.bytes(), dram()).expect_err("tamper detected");
+        let err = measure(&sp, stream.bytes(), &dram()).expect_err("tamper detected");
         assert!(matches!(err, SedaError::Tag(_)), "{err:?}");
     }
 }

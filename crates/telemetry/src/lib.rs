@@ -58,6 +58,11 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// The process-global sink, set at most once for the process lifetime.
 static SINK: OnceLock<&'static dyn Sink> = OnceLock::new();
 
+/// Serializes the unit tests that read or change the process-global
+/// enabled flag; the test harness runs them on parallel threads.
+#[cfg(test)]
+static GLOBAL_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Error returned when a global sink is already installed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstallError;
@@ -137,6 +142,7 @@ mod tests {
     // this one #[test] to avoid cross-test interference.
     #[test]
     fn global_dispatch_lifecycle() {
+        let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
         // Before install: disabled, dispatch is inert.
         assert!(!enabled());
         counter_add("g.pre_install", 1);
@@ -175,5 +181,8 @@ mod tests {
 
         let msg = InstallError.to_string();
         assert!(msg.contains("already installed"));
+
+        // Leave collection off for the other tests in this binary.
+        set_enabled(false);
     }
 }

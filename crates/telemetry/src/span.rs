@@ -51,8 +51,12 @@ mod tests {
 
     #[test]
     fn disabled_span_never_reads_the_clock() {
-        // The global sink is not installed in this test binary, so the
-        // span must be inert.
+        // Telemetry is off outside the global lifecycle test (which
+        // holds the same lock and switches it off again), so the span
+        // must be inert.
+        let _guard = crate::GLOBAL_STATE
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let span = Span::start("test.span_ns");
         assert!(span.start.is_none());
     }

@@ -17,8 +17,8 @@
 //!   unprotected reference. Nothing in between, and never a panic.
 
 use crate::ensure;
-use crate::rng::Rng;
 use seda::functional::{run_protected, run_reference};
+use seda_adversary::Rng;
 use seda_adversary::{run_cell, ProtectConfig, TamperClass, Verdict};
 use seda_models::zoo;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -74,12 +74,11 @@ pub mod otp;
 pub mod pipeline;
 pub mod ref_cache;
 pub mod resilience;
-pub mod rng;
 pub mod schemes;
 pub mod serving;
 pub mod stream;
 
-use rng::Rng;
+use seda_adversary::Rng;
 use std::fmt;
 
 /// The ten oracle/invariant families of the harness.
@@ -231,7 +230,7 @@ pub fn run_family(family: Family, seed: u64, cases: u32) -> Report {
         if let Err(message) = run_case(family, seed, case) {
             failures.push(Failure {
                 case,
-                sub_seed: Rng::sub_seed(seed, case),
+                sub_seed: Rng::sub_seed(seed, u64::from(case)),
                 message,
             });
         }
@@ -253,7 +252,7 @@ pub fn run_case(family: Family, seed: u64, case: u32) -> Result<(), String> {
     if family == Family::Resilience && case == 0 {
         return resilience::headline_proof(seed);
     }
-    let mut rng = Rng::for_case(seed, case);
+    let mut rng = Rng::derive(seed, u64::from(case));
     checker(family)(&mut rng)
 }
 

@@ -9,9 +9,10 @@
 //! re-simulate anything.
 
 use crate::ensure;
-use crate::rng::Rng;
-use seda::pipeline::run_trace;
+use seda::pipeline::{dram_config_for, run_trace};
 use seda::sweep::Sweep;
+use seda_adversary::Rng;
+use seda_dram::DramSim;
 use seda_models::{zoo, Model};
 use seda_protect::{scheme_by_name, HashEngine};
 use seda_scalesim::{NpuConfig, TraceCache};
@@ -68,8 +69,25 @@ pub fn check_case(rng: &mut Rng) -> Result<(), String> {
     for name in &schemes {
         let mut a = scheme_by_name(name).ok_or_else(|| format!("unknown scheme {name}"))?;
         let mut b = scheme_by_name(name).ok_or_else(|| format!("unknown scheme {name}"))?;
-        let fresh = run_trace(&sim_fresh, &npu, a.as_mut(), verifier.as_ref(), repeats);
-        let cached = run_trace(&sim_cached, &npu, b.as_mut(), verifier.as_ref(), repeats);
+        let dram = || DramSim::new(dram_config_for(&npu));
+        let fresh = run_trace(
+            &sim_fresh,
+            &npu,
+            a.as_mut(),
+            verifier.as_ref(),
+            repeats,
+            dram(),
+        )
+        .map_err(|e| format!("{ctx}: {name} fresh run failed: {e}"))?;
+        let cached = run_trace(
+            &sim_cached,
+            &npu,
+            b.as_mut(),
+            verifier.as_ref(),
+            repeats,
+            dram(),
+        )
+        .map_err(|e| format!("{ctx}: {name} cached run failed: {e}"))?;
         ensure!(
             fingerprint(&fresh) == fingerprint(&cached),
             "{ctx}: {name} totals changed under trace-cache reuse"

@@ -16,7 +16,7 @@
 
 use crate::ensure;
 use crate::ref_cache::ReferenceCache;
-use crate::rng::Rng;
+use seda_adversary::Rng;
 use seda_protect::scheme::{line_down, line_up, LINE_BYTES};
 use seda_protect::{
     scheme_by_name, BlockMacKind, BlockMacScheme, MetaCache, ProtectionScheme, TrafficBreakdown,

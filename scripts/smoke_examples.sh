@@ -61,6 +61,10 @@ for src in crates/bench/src/bin/*.rs; do
       run cargo run --quiet --release -p seda-bench --bin dram_bench -- \
         "$tmp/BENCH_dram.json"
       ;;
+    stream_bench)
+      run cargo run --quiet --release -p seda-bench --bin stream_bench -- \
+        "$tmp/BENCH_stream.json"
+      ;;
     serve_bench)
       # A trimmed request count keeps the smoke run short; the CI perf
       # step runs the full 100k-request spec separately.
