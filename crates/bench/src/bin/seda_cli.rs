@@ -151,13 +151,23 @@ fn usage() -> ! {
     eprintln!();
     eprintln!("exit codes (scenario run / serve / stream):");
     eprintln!("  0  success           all points ran and every expectation held");
-    eprintln!("  1  internal error    unexpected failure outside the codes below");
+    eprintln!("  1  internal error    unexpected failure outside the codes below,");
+    eprintln!("                       or an output file that cannot be written");
     eprintln!("  2  usage error       bad command line");
     eprintln!("  3  spec error        scenario/stream parse or validation error");
     eprintln!("  4  point failures    sweep points failed or a stream block was");
     eprintln!("                       tampered (typed rejection on stderr)");
     eprintln!("  5  expectations      results violated the scenario's expect block");
     std::process::exit(2);
+}
+
+/// Writes an output file, or terminates with
+/// `error: cannot write <path>: <io error>` on stderr (exit code 1).
+fn write_output(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// Terminates with the error on stderr (exit code 1).
@@ -281,7 +291,7 @@ fn scenario_cmd(args: &[String]) -> i32 {
             };
             out!("{}", run.render());
             if let Some(path) = json_path {
-                std::fs::write(&path, run.snapshot_json()).expect("writable snapshot path");
+                write_output(&path, run.snapshot_json());
                 eprintln!("scenario snapshot written to {path}");
             }
             let unmet = run.check_expectations();
@@ -330,7 +340,7 @@ fn serve_cmd(args: &[String]) -> i32 {
     };
     out!("{}", run.report.render());
     if let Some(path) = json_path {
-        std::fs::write(&path, run.report.snapshot_json()).expect("writable snapshot path");
+        write_output(&path, run.report.snapshot_json());
         eprintln!("serving snapshot written to {path}");
     }
     let unmet = run.failures(&s);
@@ -382,9 +392,10 @@ fn stream_snapshot(
 /// `stream <model> [--json <out.json>] [--lens <b0,b1,..>] [--flip <byte>]`:
 /// seals a zoo model into a provisioning stream, unseals it, and replays
 /// the verified write-out, reporting sustained GB/s. A malformed
-/// stream spec (unknown model, unparsable or non-64-multiple `--lens`)
-/// exits 3; a tampered block (`--flip` corrupts one stream byte) exits 4
-/// with the typed rejection on stderr and the snapshot written first.
+/// stream spec (unknown model, unparsable or non-64-multiple `--lens`,
+/// a payload over [`seda_stream::MAX_PAYLOAD_BYTES`]) exits 3; a
+/// tampered block (`--flip` corrupts one stream byte) exits 4 with the
+/// typed rejection on stderr and the snapshot written first.
 fn stream_cmd(args: &[String]) -> i32 {
     let mut rest: Vec<String> = args.to_vec();
     let json_path = take_value_flag(&mut rest, "--json");
@@ -474,7 +485,7 @@ fn stream_cmd(args: &[String]) -> i32 {
             );
             if let Some(path) = json_path {
                 let snap = stream_snapshot(model.name(), &spec, Ok(&run));
-                std::fs::write(&path, snap).expect("writable snapshot path");
+                write_output(&path, snap);
                 eprintln!("stream snapshot written to {path}");
             }
             0
@@ -482,7 +493,7 @@ fn stream_cmd(args: &[String]) -> i32 {
         Err(e) => {
             if let Some(path) = json_path {
                 let snap = stream_snapshot(model.name(), &spec, Err(&e));
-                std::fs::write(&path, snap).expect("writable snapshot path");
+                write_output(&path, snap);
                 eprintln!("stream snapshot written to {path}");
             }
             eprintln!("error: stream rejected: {e}");
@@ -648,7 +659,7 @@ fn main() {
     // The telemetry snapshot is written even for failing scenario runs —
     // it is part of the failure artifact CI archives.
     if let (Some(path), Some(sink)) = (telemetry_path, sink) {
-        std::fs::write(&path, sink.snapshot().to_json()).expect("writable telemetry path");
+        write_output(&path, sink.snapshot().to_json());
         eprintln!("telemetry snapshot written to {path}");
     }
     if exit_code != 0 {

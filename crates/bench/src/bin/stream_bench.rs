@@ -10,7 +10,9 @@
 //! provisioning-path throughput over time.
 //!
 //! With `--min-gbps <g>` the run additionally acts as a regression
-//! gate: sustained throughput below the floor fails the process.
+//! gate: sustained throughput below the floor fails the process
+//! (exit 1). A missing or malformed flag value, an unknown model, or a
+//! tiling past the stream's layer ceiling exits 2 with the usage line.
 //!
 //! Usage: `cargo run --release -p seda-bench --bin stream_bench --
 //! [out.json] [--model <name>] [--layers <n>] [--min-gbps <g>]`
@@ -18,7 +20,7 @@
 use seda::models::zoo;
 use seda_adversary::ProtectConfig;
 use seda_bench::round6;
-use seda_stream::{measure, model_lens, seal, StreamSpec};
+use seda_stream::{measure, model_lens, seal, StreamSpec, MAX_LAYERS};
 use serde::Serialize;
 
 /// Machine-readable record of one stream-bench run.
@@ -42,6 +44,22 @@ struct BenchRecord {
     deterministic: bool,
 }
 
+const USAGE: &str =
+    "usage: stream_bench [out.json] [--model <name>] [--layers <n>] [--min-gbps <g>]";
+
+/// Ends the process with exit 2: the problem, then the usage line.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("stream_bench: {problem}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, or a usage error naming what it wants.
+fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str, want: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs {want}")))
+}
+
 fn main() {
     let mut out_path = "BENCH_stream.json".to_owned();
     let mut min_gbps: Option<f64> = None;
@@ -51,29 +69,41 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--min-gbps" => {
-                let v = args.next().expect("--min-gbps needs a value");
-                min_gbps = Some(v.parse().expect("--min-gbps must be a number"));
+                let want = "a non-negative number of GB/s";
+                let v = flag_value(&mut args, "--min-gbps", want);
+                match v.parse::<f64>() {
+                    Ok(g) if g.is_finite() && g >= 0.0 => min_gbps = Some(g),
+                    _ => usage_error(&format!("--min-gbps wants {want}, got {v:?}")),
+                }
             }
-            "--model" => {
-                model_name = args.next().expect("--model needs a name");
-            }
+            "--model" => model_name = flag_value(&mut args, "--model", "a zoo model name"),
             "--layers" => {
-                let v = args.next().expect("--layers needs a value");
-                repeat_layers = v.parse().expect("--layers must be an integer");
+                let v = flag_value(&mut args, "--layers", "a tile count");
+                repeat_layers = v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--layers wants a tile count, got {v:?}"))
+                });
             }
             other => out_path = other.to_owned(),
         }
     }
 
-    let model = zoo::by_name(&model_name)
-        .unwrap_or_else(|| panic!("unknown model {model_name:?} (try `seda_cli workloads`)"));
+    let Some(model) = zoo::by_name(&model_name) else {
+        usage_error(&format!(
+            "unknown model {model_name:?} (try `seda_cli workloads`)"
+        ))
+    };
     // Tile the model's sealed geometry `repeat_layers` times so the
     // stream is long enough to time steadily.
     let base = model_lens(&model);
-    let lens: Vec<usize> = std::iter::repeat_with(|| base.clone())
-        .take(repeat_layers.max(1))
-        .flatten()
-        .collect();
+    let tiles = repeat_layers.max(1);
+    let regions = tiles.saturating_mul(base.len());
+    if regions > MAX_LAYERS {
+        usage_error(&format!(
+            "--layers {tiles} tiles {regions} layer regions of {model_name}, \
+             over the {MAX_LAYERS}-layer stream ceiling"
+        ));
+    }
+    let lens: Vec<usize> = std::iter::repeat_n(base, tiles).flatten().collect();
     let spec = StreamSpec {
         stream_id: 0x5EDA_BE7C,
         key_epoch: 1,
@@ -127,7 +157,10 @@ fn main() {
         record.gbps_sustained, record.replay_cycles
     );
     let json = serde_json::to_string_pretty(&record).expect("record serializes");
-    std::fs::write(&out_path, json).expect("writable bench record path");
+    if let Err(e) = std::fs::write(&out_path, json) {
+        eprintln!("error: cannot write {out_path}: {e}");
+        std::process::exit(1);
+    }
     println!("recorded to {out_path}");
     if let Some(floor) = min_gbps {
         if record.gbps_sustained < floor {

@@ -4,10 +4,12 @@
 //! must exit 4 while leaving a valid checkpoint journal, violated
 //! serving ceilings must exit 5 while still writing the serving
 //! snapshot, and `seda_cli stream` must exit 3 on a malformed stream
-//! spec and 4 on a tampered block with the `seda-stream/v1` snapshot
-//! written before the nonzero exit. Each scenario-backed test spawns
-//! the real binary against a private scenario registry under a temp
-//! directory (`SEDA_SCENARIOS`).
+//! spec (an oversized payload included) and 4 on a tampered block with
+//! the `seda-stream/v1` snapshot written before the nonzero exit. An
+//! unwritable `--json` or `--telemetry` path exits 1 with a one-line
+//! error, and `stream_bench` rejects a malformed flag with exit 2. Each
+//! scenario-backed test spawns the real binary against a private
+//! scenario registry under a temp directory (`SEDA_SCENARIOS`).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -355,4 +357,89 @@ fn serve_without_a_serving_block_exits_3() {
         .output()
         .expect("seda_cli spawns");
     assert_eq!(out.status.code(), Some(3));
+}
+
+/// A payload past `seda_stream::MAX_PAYLOAD_BYTES` is a spec error
+/// (exit 3) raised before anything is allocated: the geometries here
+/// would abort the process if sealing ever tried to hold them.
+#[test]
+fn oversized_stream_payload_exits_3() {
+    for lens in [
+        "4611686018427387904",
+        "9223372036854775808,9223372036854775808",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_seda_cli"))
+            .args(["stream", "let", "--lens", lens])
+            .output()
+            .expect("seda_cli spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "--lens {lens}: {stderr}");
+        assert!(stderr.contains("payload cap"), "--lens {lens}: {stderr}");
+    }
+}
+
+/// An output path in a directory that does not exist ends the run with
+/// exit 1 and one `error: cannot write <path>: ...` line, not a panic.
+#[test]
+fn unwritable_output_paths_exit_1() {
+    let missing = std::env::temp_dir()
+        .join(format!("seda-cli-missing-{}", std::process::id()))
+        .join("out.json");
+    let path = missing.to_str().expect("utf-8 temp path");
+    for args in [
+        vec!["stream", "let", "--lens", "64", "--json", path],
+        vec!["--telemetry", path, "workloads"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_seda_cli"))
+            .args(&args)
+            .output()
+            .expect("seda_cli spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+        assert!(
+            errors[0].starts_with(&format!("error: cannot write {path}: ")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// `stream_bench` answers a missing or malformed flag value, or an
+/// unknown model, with its usage line and exit 2, before any work and
+/// without writing a record.
+#[test]
+fn stream_bench_rejects_malformed_flags_with_exit_2() {
+    let dir = std::env::temp_dir().join(format!("seda-stream-bench-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp record dir");
+    let record = dir.join("BENCH_stream.json");
+    let record = record.to_str().expect("utf-8 temp path");
+    for flags in [
+        &["--min-gbps", "abc"][..],
+        &["--min-gbps", "NaN"],
+        &["--min-gbps", "-1"],
+        &["--min-gbps"],
+        &["--layers", "x"],
+        &["--layers", "-3"],
+        &["--layers", "1000000000000"],
+        &["--layers"],
+        &["--model"],
+        &["--model", "no-such-model"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_stream_bench"))
+            .arg(record)
+            .args(flags)
+            .output()
+            .expect("stream_bench spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: stream_bench"),
+            "{flags:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flags:?} must not run the bench");
+    }
+    assert!(!Path::new(record).exists(), "no record is written");
+    let _ = std::fs::remove_dir_all(&dir);
 }

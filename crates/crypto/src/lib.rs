@@ -13,7 +13,8 @@
 //!   (SeDA's single-engine bandwidth-aware mechanism, Algorithm 1).
 //! * [`engine`] — AES engine timing (iterative vs pipelined), answering
 //!   the bandwidth-sizing questions behind Fig. 4's x-axis.
-//! * [`sha256`] — SHA-256 and HMAC-SHA-256, the hash behind block MACs.
+//! * [`sha256`] — SHA-256 and HMAC-SHA-256, the hash behind block MACs;
+//!   [`HmacKey`] caches a key's pad midstates so each MAC skips them.
 //! * [`mac`] — truncated 64-bit block MACs, with and without position
 //!   binding, and the XOR-fold used for layer/model MACs (Algorithm 2).
 //!
@@ -57,4 +58,4 @@ pub use mac::{
     BlockPosition, MacTag, PositionBoundMac, PositionlessMac, TagMismatch, XorAccumulator,
 };
 pub use otp::{BandwidthAwareOtp, OtpStrategy, SharedOtp, TraditionalOtp};
-pub use sha256::Sha256;
+pub use sha256::{HmacKey, Sha256};

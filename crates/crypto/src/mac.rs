@@ -10,7 +10,7 @@
 //!   `blk_idx` into each optBlk MAC (Algorithm 2 lines 7-8), so a shuffled
 //!   layer no longer XOR-folds to the same layer MAC.
 
-use crate::sha256::hmac_sha256;
+use crate::sha256::HmacKey;
 
 /// MAC width assumed throughout the evaluation (8 B MAC per block).
 pub const MAC_BYTES: usize = 8;
@@ -133,22 +133,23 @@ fn truncate(digest: &[u8; 32]) -> MacTag {
 /// order-insensitive — see [`crate::mac::xor_fold`] and the RePA attack.
 #[derive(Debug, Clone)]
 pub struct PositionlessMac {
-    key: [u8; 16],
+    key: HmacKey,
 }
 
 impl PositionlessMac {
     /// Creates a MAC engine under `key`.
     pub fn new(key: [u8; 16]) -> Self {
-        Self { key }
+        Self {
+            key: HmacKey::new(&key),
+        }
     }
 
     /// MACs a ciphertext block bound to its address and version.
     pub fn tag(&self, blk: &[u8], pa: u64, vn: u64) -> MacTag {
-        let mut msg = Vec::with_capacity(blk.len() + 16);
-        msg.extend_from_slice(blk);
-        msg.extend_from_slice(&pa.to_be_bytes());
-        msg.extend_from_slice(&vn.to_be_bytes());
-        truncate(&hmac_sha256(&self.key, &msg))
+        let mut trailer = [0u8; 16];
+        trailer[..8].copy_from_slice(&pa.to_be_bytes());
+        trailer[8..].copy_from_slice(&vn.to_be_bytes());
+        truncate(&self.key.mac(&[blk, &trailer]))
     }
 }
 
@@ -167,25 +168,39 @@ impl PositionlessMac {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PositionBoundMac {
-    key: [u8; 16],
+    key: HmacKey,
 }
 
 impl PositionBoundMac {
     /// Creates a MAC engine under `key`.
     pub fn new(key: [u8; 16]) -> Self {
-        Self { key }
+        Self {
+            key: HmacKey::new(&key),
+        }
     }
 
     /// MACs a ciphertext block bound to address, version, and position.
     pub fn tag(&self, blk: &[u8], pa: u64, vn: u64, pos: BlockPosition) -> MacTag {
-        let mut msg = Vec::with_capacity(blk.len() + 28);
-        msg.extend_from_slice(blk);
-        msg.extend_from_slice(&pa.to_be_bytes());
-        msg.extend_from_slice(&vn.to_be_bytes());
-        msg.extend_from_slice(&pos.layer_id.to_be_bytes());
-        msg.extend_from_slice(&pos.fmap_idx.to_be_bytes());
-        msg.extend_from_slice(&pos.blk_idx.to_be_bytes());
-        truncate(&hmac_sha256(&self.key, &msg))
+        self.tag_split(blk, &[], pa, vn, pos)
+    }
+
+    /// [`tag`](Self::tag) of the block `head || tail`, absorbed from its
+    /// two pieces without joining them.
+    pub fn tag_split(
+        &self,
+        head: &[u8],
+        tail: &[u8],
+        pa: u64,
+        vn: u64,
+        pos: BlockPosition,
+    ) -> MacTag {
+        let mut trailer = [0u8; 28];
+        trailer[..8].copy_from_slice(&pa.to_be_bytes());
+        trailer[8..16].copy_from_slice(&vn.to_be_bytes());
+        trailer[16..20].copy_from_slice(&pos.layer_id.to_be_bytes());
+        trailer[20..24].copy_from_slice(&pos.fmap_idx.to_be_bytes());
+        trailer[24..].copy_from_slice(&pos.blk_idx.to_be_bytes());
+        truncate(&self.key.mac(&[head, tail, &trailer]))
     }
 }
 
@@ -284,6 +299,42 @@ mod tests {
         assert_ne!(base, mac.tag(b"data", 1, 2, BlockPosition::new(9, 4, 5)));
         assert_ne!(base, mac.tag(b"data", 1, 2, BlockPosition::new(3, 9, 5)));
         assert_ne!(base, mac.tag(b"data", 1, 2, BlockPosition::new(3, 4, 9)));
+    }
+
+    /// Known-answer tags, computed with Python `hmac` over the documented
+    /// message layouts: a change to either construction fails here.
+    #[test]
+    fn tags_match_known_answers() {
+        let key = [0x42u8; 16];
+        let blk: [u8; 64] = core::array::from_fn(|i| (i as u8).wrapping_mul(7) ^ 0x5a);
+        let bound = PositionBoundMac::new(key);
+        let at = |layer, fmap, idx| BlockPosition::new(layer, fmap, idx);
+        assert_eq!(
+            bound.tag(&blk, 0x1234_5678, 3, at(2, 1, 7)),
+            MacTag(0xea21_b1a6_b82e_49d8)
+        );
+        assert_eq!(
+            bound.tag(b"", 0, 0, BlockPosition::default()),
+            MacTag(0xc9e3_f9f3_aab1_1155)
+        );
+        assert_eq!(
+            bound.tag(&[0xa5; 200], u64::MAX, 1, at(u32::MAX, 0, 9)),
+            MacTag(0x9fe3_fb96_3b4d_b79c)
+        );
+        for split in [0, 1, 55, 63, 64] {
+            let (head, tail) = blk.split_at(split);
+            assert_eq!(
+                bound.tag_split(head, tail, 0x1234_5678, 3, at(2, 1, 7)),
+                MacTag(0xea21_b1a6_b82e_49d8),
+                "split at {split}"
+            );
+        }
+        let less = PositionlessMac::new(key);
+        assert_eq!(
+            less.tag(&blk, 0x1234_5678, 3),
+            MacTag(0x1a27_b0ca_bfc3_7de8)
+        );
+        assert_eq!(less.tag(b"", 0, 0), MacTag(0x3180_bba9_c7eb_15ed));
     }
 
     #[test]

@@ -75,40 +75,39 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&input[..take]);
             self.buffered += take;
             input = &input[take..];
-            if self.buffered == BLOCK_BYTES {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < BLOCK_BYTES {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while input.len() >= BLOCK_BYTES {
-            let mut block = [0u8; BLOCK_BYTES];
-            block.copy_from_slice(&input[..BLOCK_BYTES]);
-            self.compress(&block);
-            input = &input[BLOCK_BYTES..];
+        let (blocks, rest) = input.as_chunks::<BLOCK_BYTES>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
-        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Finishes the hash and returns the 32-byte digest.
+    ///
+    /// The padding (`0x80`, zeros, the 64-bit bit length) is written into
+    /// the buffered block directly, spilling into a second block only when
+    /// fewer than 9 bytes of the first remain.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` tracks total_len; undo the padding byte's contribution.
-        self.total_len = self.total_len.wrapping_sub(1);
-        while self.buffered != 56 {
-            self.update(&[0]);
-            self.total_len = self.total_len.wrapping_sub(1);
+        let n = self.buffered;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= BLOCK_BYTES - 8 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer = [0; BLOCK_BYTES];
         }
-        let mut block = self.buffer;
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        self.buffer[BLOCK_BYTES - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
         let mut out = [0u8; DIGEST_BYTES];
-        for (i, w) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
+        for (o, w) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
@@ -119,74 +118,107 @@ impl Sha256 {
         h.update(data);
         h.finalize()
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_BYTES]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// The SHA-256 compression function: folds one 64-byte block into `state`.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_BYTES]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// An HMAC-SHA-256 (RFC 2104) key with its pads pre-absorbed.
+///
+/// [`new`](Self::new) hashes the key's ipad and opad blocks once and
+/// keeps the two SHA-256 midstates, so each [`mac`](Self::mac) pays only
+/// the compressions of the message and the outer digest: 3 instead of 5
+/// for the 92–100 B messages the block and frame MACs sign.
+///
+/// # Examples
+///
+/// ```
+/// use seda_crypto::sha256::{hmac_sha256, HmacKey};
+///
+/// let key = HmacKey::new(b"Jefe");
+/// let split = key.mac(&[b"what do ya ", b"want for nothing?"]);
+/// assert_eq!(split, hmac_sha256(b"Jefe", b"what do ya want for nothing?"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Derives the inner and outer midstates of `key` (a key longer than
+    /// one block is hashed first, as RFC 2104 specifies).
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK_BYTES];
+        if key.len() > BLOCK_BYTES {
+            key_block[..DIGEST_BYTES].copy_from_slice(&Sha256::digest(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        let pad = |byte: u8| {
+            let mut h = Sha256::new();
+            h.update(&key_block.map(|k| k ^ byte));
+            h
+        };
+        Self {
+            inner: pad(0x36),
+            outer: pad(0x5c),
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+    }
+
+    /// HMAC over the concatenation of `parts`, absorbed in order without
+    /// copying them into one buffer.
+    pub fn mac(&self, parts: &[&[u8]]) -> Digest {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
     }
 }
 
 /// HMAC-SHA-256 (RFC 2104) over `data` under `key`.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> Digest {
-    let mut key_block = [0u8; BLOCK_BYTES];
-    if key.len() > BLOCK_BYTES {
-        key_block[..DIGEST_BYTES].copy_from_slice(&Sha256::digest(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK_BYTES];
-    let mut opad = [0x5cu8; BLOCK_BYTES];
-    for i in 0..BLOCK_BYTES {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(data);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(&[data])
 }
 
 #[cfg(test)]
@@ -247,36 +279,183 @@ mod tests {
         }
     }
 
-    /// RFC 4231 test case 2.
-    #[test]
-    fn hmac_rfc4231_case2() {
-        let mac = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex(&mac),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
+    /// Checks one RFC 4231 case through both [`hmac_sha256`] and
+    /// [`HmacKey`] (whole and byte-by-byte). `expected` may be a prefix of
+    /// the digest, for the truncated case 5.
+    fn rfc4231(key: &[u8], data: &[u8], expected: &str) {
+        let one_shot = hex(&hmac_sha256(key, data));
+        assert!(one_shot.starts_with(expected), "hmac_sha256: {one_shot}");
+        let hk = HmacKey::new(key);
+        assert_eq!(hex(&hk.mac(&[data])), one_shot, "HmacKey::mac");
+        let bytes: Vec<&[u8]> = data.chunks(1).collect();
+        assert_eq!(hex(&hk.mac(&bytes)), one_shot, "byte-by-byte parts");
     }
 
     /// RFC 4231 test case 1.
     #[test]
     fn hmac_rfc4231_case1() {
-        let mac = hmac_sha256(&[0x0b; 20], b"Hi There");
-        assert_eq!(
-            hex(&mac),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        rfc4231(
+            &[0x0b; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+        );
+    }
+
+    /// RFC 4231 test case 2 (key shorter than the output).
+    #[test]
+    fn hmac_rfc4231_case2() {
+        rfc4231(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+        );
+    }
+
+    /// RFC 4231 test case 3 (50 bytes of 0xdd).
+    #[test]
+    fn hmac_rfc4231_case3() {
+        rfc4231(
+            &[0xaa; 20],
+            &[0xdd; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+        );
+    }
+
+    /// RFC 4231 test case 4 (25-byte counting key).
+    #[test]
+    fn hmac_rfc4231_case4() {
+        let key: Vec<u8> = (1..=25).collect();
+        rfc4231(
+            &key,
+            &[0xcd; 50],
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+        );
+    }
+
+    /// RFC 4231 test case 5 (output truncated to 128 bits).
+    #[test]
+    fn hmac_rfc4231_case5() {
+        rfc4231(
+            &[0x0c; 20],
+            b"Test With Truncation",
+            "a3b6167473100ee06e0c796c2955552b",
         );
     }
 
     /// RFC 4231 test case 6 (key longer than one block).
     #[test]
     fn hmac_rfc4231_case6() {
-        let mac = hmac_sha256(
+        rfc4231(
             &[0xaa; 131],
             b"Test Using Larger Than Block-Size Key - Hash Key First",
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
         );
+    }
+
+    /// RFC 4231 test case 7 (key and data both longer than one block).
+    #[test]
+    fn hmac_rfc4231_case7() {
+        rfc4231(
+            &[0xaa; 131],
+            b"This is a test using a larger than block-size key and a larger \
+              than block-size data. The key needs to be hashed before being \
+              used by the HMAC algorithm.",
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+        );
+    }
+
+    /// Message bytes for the boundary sweeps below: their prefixes of
+    /// length 0..=200 cross the 55/56/63/64 padding edges three times.
+    fn sweep_data() -> Vec<u8> {
+        (0..200usize)
+            .map(|i| (i as u8).wrapping_mul(31) ^ 0x6b)
+            .collect()
+    }
+
+    /// Textbook RFC 2104 over the bare hasher: re-derives both pads per
+    /// call and hashes one contiguous message, independent of `HmacKey`.
+    fn reference_hmac(key: &[u8], data: &[u8]) -> Digest {
+        let mut block = [0u8; BLOCK_BYTES];
+        if key.len() > BLOCK_BYTES {
+            block[..DIGEST_BYTES].copy_from_slice(&Sha256::digest(key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&block.map(|k| k ^ 0x36));
+        inner.update(data);
+        let mut outer = Sha256::new();
+        outer.update(&block.map(|k| k ^ 0x5c));
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+
+    /// SHA-256 of the digests of every prefix length 0..=200, pinned from
+    /// an independent implementation (Python `hashlib`), so a padding
+    /// error at any length changes it.
+    #[test]
+    fn every_length_to_200_matches_pinned_digests() {
+        let data = sweep_data();
+        let mut all = Sha256::new();
+        for n in 0..=data.len() {
+            all.update(&Sha256::digest(&data[..n]));
+        }
         assert_eq!(
-            hex(&mac),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+            hex(&all.finalize()),
+            "8b41a14f19b3f65a5ff776449109236064e195fc75e7dd757fc4f6dd6fe08291"
         );
+    }
+
+    /// The same sweep through HMAC under a short, a block-sized, and a
+    /// hashed (over-long) key, pinned from Python `hmac`.
+    #[test]
+    fn hmac_every_length_to_200_matches_pinned_tags() {
+        let data = sweep_data();
+        for (key_len, expected) in [
+            (
+                16,
+                "2bae3ee7c1634e5af326ca43417a9278df24d21321c733544ccbe67a71007019",
+            ),
+            (
+                64,
+                "2f0c894c9a2d3bbc9ae51fec80176a3c8db4ab56cd9b28aec6db62c97070feb0",
+            ),
+            (
+                100,
+                "a89a226f90054c40117222a6194fbc13e10d5075439a519ef7d58fb9cd649b09",
+            ),
+        ] {
+            let key = vec![0x0f; key_len];
+            let mut all = Sha256::new();
+            for n in 0..=data.len() {
+                all.update(&hmac_sha256(&key, &data[..n]));
+            }
+            assert_eq!(hex(&all.finalize()), expected, "{key_len}-byte key");
+        }
+    }
+
+    /// Multi-part `HmacKey::mac` equals the one-shot reference for every
+    /// message length 0..=200 split at every offset (and a three-way split
+    /// through the middle of the tail).
+    #[test]
+    fn split_messages_match_the_one_shot_reference() {
+        let data = sweep_data();
+        let key = HmacKey::new(&[0x42; 16]);
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            let want = reference_hmac(&[0x42; 16], msg);
+            assert_eq!(key.mac(&[msg]), want, "len {len}");
+            for split in 0..=len {
+                let (head, tail) = msg.split_at(split);
+                assert_eq!(key.mac(&[head, tail]), want, "len {len} split {split}");
+                let (mid, last) = tail.split_at(tail.len() / 2);
+                assert_eq!(
+                    key.mac(&[head, mid, last]),
+                    want,
+                    "len {len} splits {split}/{}",
+                    split + mid.len()
+                );
+            }
+        }
     }
 }

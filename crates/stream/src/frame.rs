@@ -36,15 +36,16 @@ pub fn header_len(layers: usize) -> usize {
     HEADER_PREFIX + 4 * layers + 8
 }
 
-/// Serializes a header (without its MAC) and returns the full buffer
-/// with the MAC appended.
+/// Appends a serialized header and its MAC to `out`, returning the MAC
+/// (the first link of the frame chain).
 pub(crate) fn encode_header(
+    out: &mut Vec<u8>,
     transport: &PositionBoundMac,
     stream_id: u64,
     key_epoch: u64,
     blocks_per_layer: &[u32],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(header_len(blocks_per_layer.len()));
+) -> MacTag {
+    let start = out.len();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&stream_id.to_be_bytes());
     out.extend_from_slice(&key_epoch.to_be_bytes());
@@ -52,9 +53,9 @@ pub(crate) fn encode_header(
     for &blocks in blocks_per_layer {
         out.extend_from_slice(&blocks.to_be_bytes());
     }
-    let mac = header_mac(transport, stream_id, key_epoch, &out);
+    let mac = header_mac(transport, stream_id, key_epoch, &out[start..]);
     out.extend_from_slice(&mac.0.to_be_bytes());
-    out
+    mac
 }
 
 /// The transport MAC over a serialized header prefix.
@@ -79,22 +80,13 @@ pub(crate) fn frame_mac(
     ct: &[u8],
     prev: MacTag,
 ) -> MacTag {
-    let mut msg = Vec::with_capacity(ct.len() + 8);
-    msg.extend_from_slice(ct);
-    msg.extend_from_slice(&prev.0.to_be_bytes());
-    transport.tag(&msg, stream_id, seq, BlockPosition::new(layer, 0, blk))
-}
-
-/// Serializes one frame.
-pub(crate) fn encode_frame(seq: u64, layer: u32, blk: u32, ct: &[u8], mac: MacTag) -> Vec<u8> {
-    debug_assert_eq!(ct.len(), BLOCK);
-    let mut out = Vec::with_capacity(FRAME_BYTES);
-    out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(&layer.to_be_bytes());
-    out.extend_from_slice(&blk.to_be_bytes());
-    out.extend_from_slice(ct);
-    out.extend_from_slice(&mac.0.to_be_bytes());
-    out
+    transport.tag_split(
+        ct,
+        &prev.0.to_be_bytes(),
+        stream_id,
+        seq,
+        BlockPosition::new(layer, 0, blk),
+    )
 }
 
 /// Reads a big-endian u64 at `at` (caller guarantees bounds).
@@ -118,7 +110,8 @@ mod tests {
     #[test]
     fn header_roundtrips_its_fields() {
         let transport = PositionBoundMac::new([1; 16]);
-        let h = encode_header(&transport, 0xABCD, 3, &[4, 2, 1]);
+        let mut h = Vec::new();
+        let returned = encode_header(&mut h, &transport, 0xABCD, 3, &[4, 2, 1]);
         assert_eq!(h.len(), header_len(3));
         assert_eq!(&h[..4], &MAGIC);
         assert_eq!(be64(&h, 4), 0xABCD);
@@ -127,6 +120,30 @@ mod tests {
         assert_eq!(be32(&h, 24), 4);
         let mac = header_mac(&transport, 0xABCD, 3, &h[..h.len() - 8]);
         assert_eq!(be64(&h, h.len() - 8), mac.0);
+        assert_eq!(returned, mac);
+    }
+
+    /// Known-answer transport MACs: sealed streams already on the wire
+    /// must keep verifying, so these tags may never drift.
+    #[test]
+    fn transport_macs_match_known_answers() {
+        let transport = PositionBoundMac::new([0x3c; 16]);
+        let ct: [u8; BLOCK] = core::array::from_fn(|i| (i as u8).wrapping_mul(29) ^ 0xc3);
+        let id = 0x5EDA_0001;
+        assert_eq!(
+            frame_mac(&transport, id, 0, 0, 0, &ct, MacTag(0x0123_4567_89ab_cdef)),
+            MacTag(0x369d_4d49_e6f3_5095)
+        );
+        assert_eq!(
+            frame_mac(&transport, id, 41, 3, 17, &ct, MacTag(u64::MAX)),
+            MacTag(0x7384_4164_2144_15f6)
+        );
+        let mut h = Vec::new();
+        encode_header(&mut h, &transport, id, 2, &[4, 2, 1]);
+        assert_eq!(
+            header_mac(&transport, id, 2, &h[..h.len() - 8]),
+            MacTag(0x7494_8a7c_1e93_2562)
+        );
     }
 
     #[test]

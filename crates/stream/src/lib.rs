@@ -41,7 +41,7 @@ pub mod unseal;
 
 pub use frame::{header_len, FRAME_BYTES, MAGIC, MAX_LAYERS};
 pub use pipeline::{measure, UnsealRun, CHUNK_BYTES};
-pub use seal::{model_lens, seal, SealedStream, StreamSpec};
+pub use seal::{model_lens, seal, SealedStream, StreamSpec, MAX_PAYLOAD_BYTES};
 pub use unseal::{unseal, StreamUnsealer};
 
 #[cfg(test)]
@@ -109,6 +109,41 @@ mod tests {
                 "{} plaintext differs",
                 model.name()
             );
+        }
+    }
+
+    /// The sealed stream's SHA-256 and the unsealed model root for every
+    /// protection configuration, pinned: the stream bytes and the storage
+    /// MACs `install_sealed_layer` derives must never drift.
+    #[test]
+    fn sealed_bytes_and_roots_match_pinned_values_for_every_config() {
+        const SHARED_PAD: &str = "d36e3bb656338ddba1f7e83586224df5fa823e5bf65f0488fec1eba02dce41a9";
+        const BAES_PAD: &str = "7fc920506a770c15f09e35a53e7cb4db0531375bcc17ec36b2c96f3127563e59";
+        const BOUND_ROOT: u64 = 0x006d_5b76_4cf2_d19b;
+        const CT_ONLY_ROOT: u64 = 0xfa16_a437_b5c9_d301;
+        let pinned = [
+            ("ct-mac", BAES_PAD, CT_ONLY_ROOT),
+            ("optblk-mac", BAES_PAD, BOUND_ROOT),
+            ("layer-mac", BAES_PAD, BOUND_ROOT),
+            ("model-mac", BAES_PAD, BOUND_ROOT),
+            ("layer-ct", BAES_PAD, CT_ONLY_ROOT),
+            ("shared-otp", SHARED_PAD, 0xb136_d64f_ebab_eef5),
+        ];
+        let lens = [128usize, 64, 256];
+        for (config, (name, digest, root)) in ProtectConfig::matrix().into_iter().zip(pinned) {
+            assert_eq!(config.name, name);
+            let sp = StreamSpec {
+                config,
+                ..spec(&lens)
+            };
+            let stream = seal(&sp, &payloads(&lens, 5)).expect("seal");
+            let hex: String = seda_crypto::sha256::Sha256::digest(stream.bytes())
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(hex, digest, "{name} stream bytes");
+            let image = unseal(&sp, stream.bytes()).expect("unseal");
+            assert_eq!(image.model_root().0, root, "{name} model root");
         }
     }
 

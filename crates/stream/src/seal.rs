@@ -1,11 +1,18 @@
 //! The sealing side: turn plaintext layers into an authenticated stream.
 
-use crate::frame::{encode_frame, encode_header, frame_mac, FRAME_BYTES};
+use crate::frame::{encode_header, frame_mac, header_len, FRAME_BYTES};
 use seda::SedaError;
 use seda_adversary::{PadGen, ProtectConfig, BLOCK};
 use seda_crypto::ctr::CounterSeed;
 use seda_crypto::mac::PositionBoundMac;
 use seda_crypto::otp::{BandwidthAwareOtp, OtpStrategy, SharedOtp};
+
+/// Ceiling on a stream's total payload: 256 MiB, about 100× the largest
+/// stream any scenario, bench, or `perfbench` run seals (a `trf` image
+/// tiled 16×, 2.4 MB). Sealing and unsealing hold the payload several
+/// times over, so [`StreamSpec::validate`] rejects a larger geometry
+/// before anything is allocated for it.
+pub const MAX_PAYLOAD_BYTES: usize = 256 << 20;
 
 /// Everything both ends of a provisioning stream agree on out of band:
 /// identity, key material, and the sealed model's geometry.
@@ -59,7 +66,8 @@ impl StreamSpec {
     /// # Errors
     ///
     /// Returns [`SedaError::InvalidSpec`] for an empty lineup, a region
-    /// that is not a positive multiple of 64, or too many layers.
+    /// that is not a positive multiple of 64, too many layers, or a total
+    /// payload over [`MAX_PAYLOAD_BYTES`].
     pub fn validate(&self) -> Result<(), SedaError> {
         if self.lens.is_empty() {
             return Err(SedaError::InvalidSpec {
@@ -78,6 +86,18 @@ impl StreamSpec {
         if let Some(bad) = self.lens.iter().find(|&&l| l == 0 || l % BLOCK != 0) {
             return Err(SedaError::InvalidSpec {
                 reason: format!("layer length {bad} is not a positive multiple of {BLOCK}"),
+            });
+        }
+        let total = self
+            .lens
+            .iter()
+            .try_fold(0usize, |sum, &len| sum.checked_add(len))
+            .filter(|&total| total <= MAX_PAYLOAD_BYTES);
+        if total.is_none() {
+            return Err(SedaError::InvalidSpec {
+                reason: format!(
+                    "layer lengths total more than the {MAX_PAYLOAD_BYTES}-byte stream payload cap"
+                ),
             });
         }
         Ok(())
@@ -232,38 +252,31 @@ pub fn seal(spec: &StreamSpec, layers: &[Vec<u8>]) -> Result<SealedStream, SedaE
     let pads = spec.pads();
     let pas = spec.layer_pas();
     let blocks_per_layer: Vec<u32> = spec.lens.iter().map(|&l| (l / BLOCK) as u32).collect();
-    let mut bytes = encode_header(
+    let hlen = header_len(blocks_per_layer.len());
+    let mut bytes = Vec::with_capacity(hlen + spec.total_blocks() as usize * FRAME_BYTES);
+    // The chain starts at the header MAC, so frame 0 also authenticates
+    // the header it follows.
+    let mut chain = encode_header(
+        &mut bytes,
         &transport,
         spec.stream_id,
         spec.key_epoch,
         &blocks_per_layer,
     );
-    let hlen = bytes.len();
-    // The chain starts at the header MAC, so frame 0 also authenticates
-    // the header it follows.
-    let mut chain = crate::frame::header_mac(
-        &transport,
-        spec.stream_id,
-        spec.key_epoch,
-        &bytes[..hlen - 8],
-    );
     let mut seq = 0u64;
-    for (layer, plain) in layers.iter().enumerate() {
+    for (layer, (plain, &pa0)) in layers.iter().zip(&pas).enumerate() {
         for (blk, chunk) in plain.chunks(BLOCK).enumerate() {
-            let pa = pas[layer] + (blk * BLOCK) as u64;
-            let mut ct = chunk.to_vec();
-            pads.apply(CounterSeed::new(pa, 1), &mut ct);
-            let mac = frame_mac(
-                &transport,
-                spec.stream_id,
-                seq,
-                layer as u32,
-                blk as u32,
-                &ct,
-                chain,
-            );
-            bytes.extend_from_slice(&encode_frame(seq, layer as u32, blk as u32, &ct, mac));
-            chain = mac;
+            let pa = pa0 + (blk * BLOCK) as u64;
+            let (layer, blk) = (layer as u32, blk as u32);
+            bytes.extend_from_slice(&seq.to_be_bytes());
+            bytes.extend_from_slice(&layer.to_be_bytes());
+            bytes.extend_from_slice(&blk.to_be_bytes());
+            let ct_at = bytes.len();
+            bytes.extend_from_slice(chunk);
+            let ct = &mut bytes[ct_at..];
+            pads.apply(CounterSeed::new(pa, 1), ct);
+            chain = frame_mac(&transport, spec.stream_id, seq, layer, blk, ct, chain);
+            bytes.extend_from_slice(&chain.0.to_be_bytes());
             seq += 1;
         }
     }
@@ -278,7 +291,6 @@ pub fn seal(spec: &StreamSpec, layers: &[Vec<u8>]) -> Result<SealedStream, SedaE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::header_len;
     use seda_models::zoo;
 
     fn spec() -> StreamSpec {
@@ -313,6 +325,18 @@ mod tests {
             seal(&sp, &[vec![0; 128], vec![0; 32]]),
             Err(SedaError::InvalidSpec { .. })
         ));
+    }
+
+    #[test]
+    fn payload_over_the_cap_is_a_typed_error() {
+        let mut sp = spec();
+        sp.lens = vec![MAX_PAYLOAD_BYTES - 64, 64];
+        assert!(sp.validate().is_ok(), "exactly the cap is allowed");
+        sp.lens.push(64);
+        assert!(matches!(sp.validate(), Err(SedaError::InvalidSpec { .. })));
+        // Lengths whose sum overflows usize are over the cap too.
+        sp.lens = vec![usize::MAX - 63, 64];
+        assert!(matches!(sp.validate(), Err(SedaError::InvalidSpec { .. })));
     }
 
     #[test]
